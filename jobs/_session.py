@@ -9,9 +9,17 @@ from __future__ import annotations
 import os
 import sys
 
-# Make the repo root importable when invoked as a plain script.
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# Make the repo root importable when invoked as a plain script, and `src`
+# on the driver and on the Python workers: the workers are forked by the
+# JVM and inherit PYTHONPATH from its environment, so it is set before
+# the JVM launches.
+_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+_SRC = os.path.join(_ROOT, "src")
+sys.path.insert(0, _ROOT)
+sys.path.insert(0, _SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH", "")) if p
+)
 
 import conftest  # noqa: E402,F401  (sets PYSPARK_SUBMIT_ARGS pre-import)
 from pyspark.sql import SparkSession  # noqa: E402

@@ -27,9 +27,9 @@ from typing import Optional
 
 from pyspark import RDD
 
-from repro.hierarchy import EPSILON, Dictionary
+from repro.hierarchy import EPS_BITS, Dictionary, bit_items, item_bits
 from repro.patex.fst import Fst
-from repro.desq.grid import EPS_SET, pivot_merge
+from repro.desq.grid import merge_bits
 from repro.desq.nfa import build_pivot_nfas, deserialize, mine_nfas, serialize
 from repro.desq.simulate import accepting_runs, run_output_sets
 from repro.core.framework import merge_weight_dicts
@@ -52,19 +52,20 @@ def d_cand(
 
     def map_phase(T):
         fst_, d_ = fst_bc.value, d_bc.value
+        mask = d_.frequent_mask(sigma)
 
         def runs():
             for run in accepting_runs(fst_, T, d_, max_runs=max_runs):
                 yield run_output_sets(run, T, d_)
 
         def pivots_of_run(filtered):
-            acc = EPS_SET
+            acc = EPS_BITS
             for out in filtered:
-                acc = pivot_merge(acc, frozenset(out))
-            return {k for k in acc if k != EPSILON}
+                acc = merge_bits(acc, item_bits(out))
+            return bit_items(acc & -2)  # drop ε
 
         def sigma_filter(out):
-            return tuple(w for w in out if d_.is_frequent(w, sigma))
+            return tuple(w for w in out if mask >> w & 1)
 
         nfas = build_pivot_nfas(
             runs(), pivots_of_run, sigma_filter, minimize_nfas=minimize_nfas

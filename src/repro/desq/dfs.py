@@ -34,7 +34,7 @@ WeightedInput = Tuple[Tuple[Sequence_, Optional[int]], int]
 
 
 class _SeqContext:
-    """Per-sequence simulation context: acceptance table + memoized closures."""
+    """Per-sequence simulation context: acceptance bitsets + memoized closures."""
 
     __slots__ = ("seq", "weight", "last_pivot_pos", "table", "_closure")
 
@@ -82,15 +82,14 @@ class _SeqContext:
                 if q in fst.finals:
                     accepting = True
                 continue
-            t = self.seq[i]
-            for tr in fst.by_src()[q]:
-                if not self.table[(i + 1, tr.dst)] or not tr.matches(t, d):
+            live = self.table[i + 1]
+            for dst, out, _ in fst.step(q, self.seq[i], d):
+                if not live >> dst & 1:
                     continue
-                out = tr.out(t, d)
                 if out:
-                    steps.append((out, i + 1, tr.dst))
+                    steps.append((out, i + 1, dst))
                 else:
-                    stack.append((i + 1, tr.dst))
+                    stack.append((i + 1, dst))
         result = (accepting, steps)
         self._closure[key] = result
         return result
@@ -121,7 +120,7 @@ def mine(
     projected0 = [
         (idx, 0, fst.initial)
         for idx, ctx in enumerate(contexts)
-        if ctx.table.get((0, fst.initial), False)
+        if ctx.table[0] >> fst.initial & 1
     ]
     results: Dict[Sequence_, int] = {}
     _expand((), projected0, contexts, fst, d, sigma, pivot, early_stop,

@@ -23,14 +23,18 @@ under the frequency order, so removing them never changes a set's minimum —
 unless the set becomes empty, which correctly marks a dead branch (every
 candidate through it contains an infrequent item). We encode the dead
 branch as the empty set with the convention ``U ⊕ ∅ = ∅``.
+
+The passes hold these sets as int bitsets (bit w = item w, bit 0 = ε), so ⊕
+is :func:`merge_bits` and union is ``|``. σ is one frequent-item mask per
+(Dictionary, σ) that keeps bit 0: a masked edge output of 1 is ε, 0 is dead.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.hierarchy import EPSILON, Dictionary
-from repro.patex.fst import Fst, Transition
+from repro.hierarchy import EPS_BITS, EPSILON, Dictionary, bit_items
+from repro.patex.fst import Fst
 from repro.desq.simulate import acceptance_table
 
 PivotSet = FrozenSet[int]
@@ -39,7 +43,8 @@ EPS_SET: PivotSet = frozenset({EPSILON})
 
 
 def pivot_merge(u: PivotSet, q: PivotSet) -> PivotSet:
-    """The ⊕ operator. ``∅`` (dead) annihilates; ε counts as the minimum."""
+    """The ⊕ operator on sets, the Theorem 1 reference for :func:`merge_bits`.
+    ``∅`` (dead) annihilates; ε counts as the minimum."""
     if not u or not q:
         return EMPTY
     min_u, min_q = min(u), min(q)
@@ -48,19 +53,24 @@ def pivot_merge(u: PivotSet, q: PivotSet) -> PivotSet:
     )
 
 
+def merge_bits(u: int, q: int) -> int:
+    """⊕ on bitsets (bit 0 = ε): ``-(x & -x)`` masks the bits at or above
+    the lowest bit of ``x``, i.e. the items ≥ min(x). ``0`` annihilates."""
+    return (u & -(q & -q)) | (q & -(u & -u))
+
+
 @dataclass
 class Grid:
     """Accepting-run DAG for one (FST, T) pair.
 
-    ``in_edges[i][q]`` lists ``(q_prev, transition)`` pairs for edges into
-    coordinate ``(i, q)`` (1 ≤ i ≤ n); ``out_edges[i][q]`` mirrors them as
-    ``(transition, q_next)`` for edges leaving ``(i, q)`` (0 ≤ i < n).
-    Coordinates appear only if they lie on at least one accepting run.
+    ``in_edges[i][q]`` lists ``(q_prev, bits)`` pairs for edges into
+    coordinate ``(i, q)`` (1 ≤ i ≤ n), ``bits`` being the edge's unfiltered
+    output bitset (:meth:`Fst.step`). Coordinates appear only if they lie on
+    at least one accepting run.
     """
 
     T: Tuple[int, ...]
-    in_edges: List[Dict[int, List[Tuple[int, Transition]]]]
-    out_edges: List[Dict[int, List[Tuple[Transition, int]]]]
+    in_edges: List[Dict[int, List[Tuple[int, int]]]]
     final_states: Set[int]  # states q with (|T|, q) accepting
 
     @property
@@ -75,85 +85,64 @@ def build_grid(fst: Fst, T: Sequence[int], d: Dictionary) -> Grid:
     """Construct the grid by FST simulation with memoized acceptance.
 
     Only coordinates that are both reachable from ``(0, initial)`` and can
-    reach an accepting coordinate are materialized.
+    reach an accepting coordinate are materialized: a forward sweep over the
+    positions keeps the reached states of each position as a bitset.
     """
     T = tuple(T)
-    n = len(T)
-    table = acceptance_table(fst, T, d)
-    in_edges: List[Dict[int, List[Tuple[int, Transition]]]] = [dict() for _ in range(n + 1)]
-    out_edges: List[Dict[int, List[Tuple[Transition, int]]]] = [dict() for _ in range(n + 1)]
-    finals: Set[int] = set()
-    if not table[(0, fst.initial)]:
-        return Grid(T, in_edges, out_edges, finals)
-    seen: Set[Tuple[int, int]] = set()
-    stack: List[Tuple[int, int]] = [(0, fst.initial)]
-    while stack:
-        i, q = stack.pop()
-        if (i, q) in seen:
-            continue
-        seen.add((i, q))
-        if i == n:
-            if q in fst.finals:
-                finals.add(q)
-            continue
-        t = T[i]
-        for tr in fst.by_src()[q]:
-            if table[(i + 1, tr.dst)] and tr.matches(t, d):
-                in_edges[i + 1].setdefault(tr.dst, []).append((q, tr))
-                out_edges[i].setdefault(q, []).append((tr, tr.dst))
-                if (i + 1, tr.dst) not in seen:
-                    stack.append((i + 1, tr.dst))
-    return Grid(T, in_edges, out_edges, finals)
-
-
-def _filtered_out(
-    tr: Transition, t: int, d: Dictionary, sigma: Optional[int]
-) -> PivotSet:
-    """σ-filtered output set of a transition as a PivotSet; ε → {EPSILON}."""
-    out = tr.out(t, d)
-    if not out:
-        return EPS_SET
-    if sigma is None:
-        return frozenset(out)
-    return frozenset(w for w in out if d.is_frequent(w, sigma))
+    alive = acceptance_table(fst, T, d)
+    in_edges: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in range(len(T) + 1)]
+    reached = alive[0] & (1 << fst.initial)
+    for i, t in enumerate(T):
+        if not reached:
+            break
+        row, live, edges, nxt = fst.steps(t, d), alive[i + 1], in_edges[i + 1], 0
+        for q in range(fst.n_states):
+            if reached >> q & 1:
+                for dst, _, bits in row[q]:
+                    if live >> dst & 1:
+                        edges.setdefault(dst, []).append((q, bits))
+                        nxt |= 1 << dst
+        reached = nxt
+    return Grid(T, in_edges, set(bit_items(reached)))
 
 
 def prefix_pivots(
     grid: Grid, fst: Fst, d: Dictionary, sigma: Optional[int]
-) -> List[Dict[int, PivotSet]]:
-    """Forward pass: A[i][q] = K(i, q), pivots of partial runs up to (i, q)."""
-    n = grid.n
-    A: List[Dict[int, PivotSet]] = [dict() for _ in range(n + 1)]
-    if not grid.accepts() and n > 0:
+) -> List[Dict[int, int]]:
+    """Forward pass: A[i][q] = K(i, q) as a bitset, the pivots of partial runs
+    up to (i, q). σ enters as :meth:`Dictionary.frequent_mask`: a masked edge
+    output of 1 is ε, 0 is dead."""
+    mask = d.frequent_mask(sigma)
+    A: List[Dict[int, int]] = [{} for _ in range(grid.n + 1)]
+    if not grid.accepts() and grid.n > 0:
         return A
-    A[0][fst.initial] = EPS_SET
-    for i in range(1, n + 1):
-        t = grid.T[i - 1]
+    A[0][fst.initial] = EPS_BITS
+    for i in range(1, grid.n + 1):
+        prev, cur = A[i - 1], A[i]
         for q, incoming in grid.in_edges[i].items():
-            acc: Set[int] = set()
-            for q_prev, tr in incoming:
-                prev = A[i - 1].get(q_prev, EMPTY)
-                acc.update(pivot_merge(prev, _filtered_out(tr, t, d, sigma)))
-            A[i][q] = frozenset(acc)
+            acc = 0
+            for q_prev, bits in incoming:
+                u, o = prev[q_prev], bits & mask
+                acc |= (u & -(o & -o)) | (o & -(u & -u))
+            cur[q] = acc
     return A
 
 
 def suffix_pivots(
     grid: Grid, fst: Fst, d: Dictionary, sigma: Optional[int]
-) -> List[Dict[int, PivotSet]]:
+) -> List[Dict[int, int]]:
     """Backward pass: B[i][q] = pivots of partial runs from (i, q) to accept."""
-    n = grid.n
-    B: List[Dict[int, PivotSet]] = [dict() for _ in range(n + 1)]
+    mask = d.frequent_mask(sigma)
+    B: List[Dict[int, int]] = [{} for _ in range(grid.n + 1)]
     for q in grid.final_states:
-        B[n][q] = EPS_SET
-    for i in range(n - 1, -1, -1):
-        t = grid.T[i]
-        for q, outgoing in grid.out_edges[i].items():
-            acc: Set[int] = set()
-            for tr, q_next in outgoing:
-                nxt = B[i + 1].get(q_next, EMPTY)
-                acc.update(pivot_merge(_filtered_out(tr, t, d, sigma), nxt))
-            B[i][q] = frozenset(acc)
+        B[grid.n][q] = EPS_BITS
+    for i in range(grid.n, 0, -1):
+        nxt, cur = B[i], B[i - 1]
+        for q, incoming in grid.in_edges[i].items():
+            b = nxt[q]
+            for q_prev, bits in incoming:
+                o = bits & mask
+                cur[q_prev] = cur.get(q_prev, 0) | (o & -(b & -b)) | (b & -(o & -o))
     return B
 
 
@@ -171,11 +160,10 @@ def pivot_items(
     if not grid.accepts():
         return set()
     A = prefix_pivots(grid, fst, d, sigma)
-    K: Set[int] = set()
+    K = 0
     for q in grid.final_states:
-        K.update(A[grid.n].get(q, EMPTY))
-    K.discard(EPSILON)
-    return K
+        K |= A[grid.n][q]
+    return set(bit_items(K & -2))  # drop ε
 
 
 def pivot_items_bruteforce(

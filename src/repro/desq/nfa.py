@@ -72,17 +72,16 @@ class Nfa:
     def language(self, limit: Optional[int] = None) -> Set[Tuple[int, ...]]:
         """All accepted item sequences (Cartesian products along paths)."""
         out: Set[Tuple[int, ...]] = set()
-
-        def walk(state: int, prefix: Tuple[int, ...]) -> None:
+        stack: List[Tuple[int, Tuple[int, ...]]] = [(0, ())]
+        while stack:
+            state, prefix = stack.pop()
             if self.final[state]:
                 out.add(prefix)
                 if limit is not None and len(out) > limit:
                     raise RuntimeError("language limit exceeded")
             for lab, tgt in self.children[state]:
                 for w in lab:
-                    walk(tgt, prefix + (w,))
-
-        walk(0, ())
+                    stack.append((tgt, prefix + (w,)))
         out.discard(())
         return out
 
@@ -174,15 +173,17 @@ def serialize(nfa: Nfa) -> Tuple[int, ...]:
     """
     out: List[int] = []
     visit_id: Dict[int, int] = {0: 0}
-
-    def dfs(state: int) -> None:
-        for lab, tgt in nfa.children[state]:
+    cursor = 0  # target of the previously written transition
+    # DFS with one edge iterator per open state; a new target is entered
+    # right after its edge is written.
+    stack = [(0, iter(nfa.children[0]))]
+    while stack:
+        state, edges = stack[-1]
+        for lab, tgt in edges:
             flags = 0
             parts: List[int] = []
-            # Source: implied iff it is the target of the previous written
-            # transition; we emit it whenever we *return* to a state (i.e.
-            # not the first edge written from it in direct succession).
-            if _cursor[0] != state:
+            # The source is implied iff it is the previous edge's target.
+            if cursor != state:
                 flags |= _HAS_SRC
                 parts.append(visit_id[state])
             seen_tgt = tgt in visit_id
@@ -198,13 +199,12 @@ def serialize(nfa: Nfa) -> Tuple[int, ...]:
                 parts.append(visit_id[tgt])
             out.append(flags)
             out.extend(parts)
-            _cursor[0] = tgt
+            cursor = tgt
             if not seen_tgt:
-                dfs(tgt)
-                # after returning, the cursor sits somewhere below
-
-    _cursor = [0]
-    dfs(0)
+                stack.append((tgt, iter(nfa.children[tgt])))
+                break
+        else:
+            stack.pop()
     return tuple(out)
 
 
@@ -295,7 +295,7 @@ def mine_nfas(
         support = sum(weighted[i][1] for i, _ in projected)
         if support < sigma:
             return
-        if prefix and prefix and max(prefix) == pivot:
+        if prefix and max(prefix) == pivot:
             acc = sum(
                 weighted[i][1]
                 for i, states in projected

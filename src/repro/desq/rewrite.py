@@ -28,17 +28,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.hierarchy import EPSILON, Dictionary
+from repro.hierarchy import Dictionary, bit_items
 from repro.patex.fst import Fst
-from repro.desq.grid import (
-    EMPTY,
-    Grid,
-    build_grid,
-    pivot_merge,
-    prefix_pivots,
-    suffix_pivots,
-    _filtered_out,
-)
+from repro.desq.grid import Grid, build_grid, prefix_pivots, suffix_pivots
 
 
 def pivot_representations(
@@ -64,39 +56,47 @@ def pivot_representations(
         return {}
     A = prefix_pivots(grid, fst, d, sigma)
     B = suffix_pivots(grid, fst, d, sigma)
+    mask = d.frequent_mask(sigma)
 
-    # Per pivot: first/last relevant position and last k-producing position,
-    # all 1-based over T.
+    # Per position i (1-based over T), as pivot bitsets: the pivots for which
+    # i is relevant, and those that i's transition can output.
+    n = grid.n
+    relevant = [0] * (n + 1)
+    producing = [0] * (n + 1)
+    for i in range(1, n + 1):
+        prev, nxt, rel, prod = A[i - 1], B[i], 0, 0
+        for q, incoming in grid.in_edges[i].items():
+            b = nxt[q]
+            for q_prev, bits in incoming:
+                u, o = prev[q_prev], bits & mask
+                # A ⊕ out ⊕ B (merge_bits, inlined), without ε.
+                ao = (u & -(o & -o)) | (o & -(u & -u))
+                pivots = ((ao & -(b & -b)) | (b & -(ao & -ao))) & -2
+                if not pivots:
+                    continue
+                if q_prev != q:
+                    rel |= pivots  # a state change is relevant for every pivot
+                else:
+                    items = o & -2  # relevant for the pivots k ≥ min(out)
+                    rel |= pivots & -(items & -items)
+                prod |= pivots & o
+        relevant[i], producing[i] = rel, prod
+
     first_rel: Dict[int, int] = {}
     last_rel: Dict[int, int] = {}
     last_piv: Dict[int, int] = {}
-    n = grid.n
-    for i in range(1, n + 1):
-        t = T[i - 1]
-        for q, incoming in grid.in_edges[i].items():
-            b = B[i].get(q, EMPTY)
-            if not b:
-                continue
-            for q_prev, tr in incoming:
-                a = A[i - 1].get(q_prev, EMPTY)
-                if not a:
-                    continue
-                out = _filtered_out(tr, t, d, sigma)
-                pivots = pivot_merge(pivot_merge(a, out), b)
-                pivots = pivots - {EPSILON}
-                if not pivots:
-                    continue
-                state_change = q_prev != q
-                out_items = out - {EPSILON}
-                for k in pivots:
-                    relevant = state_change or any(w <= k for w in out_items)
-                    if relevant:
-                        if k not in first_rel or i < first_rel[k]:
-                            first_rel[k] = i
-                        if k not in last_rel or i > last_rel[k]:
-                            last_rel[k] = i
-                    if k in out_items and (k not in last_piv or i > last_piv[k]):
-                        last_piv[k] = i
+    for positions, marks, into in (
+        (range(1, n + 1), relevant, first_rel),
+        (range(n, 0, -1), relevant, last_rel),
+        (range(n, 0, -1), producing, last_piv),
+    ):
+        seen = 0
+        for i in positions:
+            new = marks[i] & ~seen
+            if new:
+                seen |= new
+                for k in bit_items(new):
+                    into[k] = i
 
     reps: Dict[int, Tuple[Tuple[int, ...], int]] = {}
     for k, first in first_rel.items():

@@ -13,39 +13,37 @@ guards against pathological blow-ups (mirrors the paper's OOM findings).
 """
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.hierarchy import Dictionary
-from repro.patex.fst import Fst, Transition
+from repro.hierarchy import Dictionary, item_bits
+from repro.patex.fst import Fst, Step
 
 
 class CandidateLimitExceeded(RuntimeError):
     """Raised when candidate enumeration exceeds ``max_candidates``."""
 
 
-def acceptance_table(
-    fst: Fst, T: Sequence[int], d: Dictionary
-) -> Dict[Tuple[int, int], bool]:
-    """``table[(i, q)]`` — can the simulation, having read ``i`` items and
-    sitting in state ``q``, still reach acceptance at position ``|T|``?
+def acceptance_table(fst: Fst, T: Sequence[int], d: Dictionary) -> List[int]:
+    """``alive[i]`` — bitset of the states ``q`` from which the simulation,
+    having read ``i`` items, can still reach acceptance at position ``|T|``.
 
     Computed backwards (positions n..0) so run enumeration can prune
     non-accepting branches; iterative, so long sequences are safe.
     """
     n = len(T)
-    table: Dict[Tuple[int, int], bool] = {}
-    for q in range(fst.n_states):
-        table[(n, q)] = q in fst.finals
+    alive = [0] * (n + 1)
+    nxt = alive[n] = item_bits(fst.finals)
     for i in range(n - 1, -1, -1):
-        t = T[i]
-        for q in range(fst.n_states):
-            ok = False
-            for tr in fst.by_src()[q]:
-                if table[(i + 1, tr.dst)] and tr.matches(t, d):
-                    ok = True
+        cur = 0
+        for q, steps in enumerate(fst.steps(T[i], d)):
+            for dst, _, _ in steps:
+                if nxt >> dst & 1:
+                    cur |= 1 << q
                     break
-            table[(i, q)] = ok
-    return table
+        if not cur:
+            break  # nothing before position i can accept either
+        alive[i] = nxt = cur
+    return alive
 
 
 def accepting_runs(
@@ -54,37 +52,36 @@ def accepting_runs(
     d: Dictionary,
     *,
     max_runs: Optional[int] = None,
-) -> Iterator[Tuple[Transition, ...]]:
-    """Yield every accepting run for ``T`` (pruned depth-first search)."""
+) -> Iterator[Tuple[Step, ...]]:
+    """Yield every accepting run for ``T`` (pruned depth-first search), as
+    the run's :meth:`Fst.step` entries."""
     n = len(T)
-    table = acceptance_table(fst, T, d)
-    if not table[(0, fst.initial)]:
+    alive = acceptance_table(fst, T, d)
+    if not alive[0] >> fst.initial & 1:
         return
     count = 0
     # Explicit stack of (position, state, run-so-far) to avoid recursion limits.
-    stack: List[Tuple[int, int, Tuple[Transition, ...]]] = [(0, fst.initial, ())]
+    stack: List[Tuple[int, int, Tuple[Step, ...]]] = [(0, fst.initial, ())]
     while stack:
         i, q, run = stack.pop()
         if i == n:
-            if q in fst.finals:
-                count += 1
-                if max_runs is not None and count > max_runs:
-                    raise CandidateLimitExceeded(
-                        f"more than {max_runs} accepting runs"
-                    )
-                yield run
+            count += 1
+            if max_runs is not None and count > max_runs:
+                raise CandidateLimitExceeded(f"more than {max_runs} accepting runs")
+            yield run
             continue
-        t = T[i]
-        for tr in fst.by_src()[q]:
-            if table[(i + 1, tr.dst)] and tr.matches(t, d):
-                stack.append((i + 1, tr.dst, run + (tr,)))
+        nxt = alive[i + 1]
+        for st in fst.step(q, T[i], d):
+            if nxt >> st[0] & 1:  # st[0] is the target state
+                stack.append((i + 1, st[0], run + (st,)))
 
 
 def run_output_sets(
-    run: Sequence[Transition], T: Sequence[int], d: Dictionary
+    run: Sequence[Step], T: Sequence[int], d: Dictionary
 ) -> List[Tuple[int, ...]]:
-    """Output sets of a run (one per position; ``()`` = ε)."""
-    return [tr.out(t, d) for tr, t in zip(run, T)]
+    """Output sets of a run (one per position; ``()`` = ε). The run's steps
+    carry them already; ``T`` and ``d`` stay for the callers' signature."""
+    return [out for _, out, _ in run]
 
 
 def _expand(output_sets: List[Tuple[int, ...]]) -> Iterator[Tuple[int, ...]]:
@@ -108,27 +105,16 @@ def generate(
     """Gπ(T) — or Gσπ(T) when ``sigma`` is given (candidates consisting only
     of frequent items, Sec. III). The empty candidate is never included.
     """
+    mask = d.frequent_mask(sigma)
     cands: Set[Tuple[int, ...]] = set()
     for run in accepting_runs(fst, T, d):
-        outs = run_output_sets(run, T, d)
-        if sigma is not None:
-            # A position whose output items are all infrequent kills the
-            # run; dropping infrequent items from mixed sets drops exactly
-            # the candidates containing them (support antimonotonicity).
-            filtered: List[Tuple[int, ...]] = []
-            dead = False
-            for out in outs:
-                if not out:
-                    filtered.append(out)
-                    continue
-                kept = tuple(w for w in out if d.is_frequent(w, sigma))
-                if not kept:
-                    dead = True
-                    break
-                filtered.append(kept)
-            if dead:
-                continue
-            outs = filtered
+        # A position whose output items are all infrequent (masked to 0:
+        # dead, unlike ε's 1) kills the run; dropping infrequent items from
+        # mixed sets drops exactly the candidates containing them (support
+        # antimonotonicity).
+        if not all(bits & mask for _, _, bits in run):
+            continue
+        outs = [tuple(w for w in out if mask >> w & 1) for _, out, _ in run]
         for cand in _expand(outs):
             if cand:
                 cands.add(cand)
@@ -141,5 +127,4 @@ def generate(
 
 def matches(fst: Fst, T: Sequence[int], d: Dictionary) -> bool:
     """True iff T has at least one accepting run."""
-    table = acceptance_table(fst, T, d)
-    return table[(0, fst.initial)]
+    return bool(acceptance_table(fst, T, d)[0] >> fst.initial & 1)

@@ -19,9 +19,28 @@ occurs), and the frequency-ordered integer encoding:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 EPSILON = 0  # fid of the empty output; smaller than every real item
+EPS_BITS = 1 << EPSILON  # {ε} as a bitset
+
+
+def item_bits(items: Iterable[int]) -> int:
+    """Bitset of a set of fids: bit ``w`` is set iff ``w`` is in the set."""
+    bits = 0
+    for w in items:
+        bits |= 1 << w
+    return bits
+
+
+def bit_items(bits: int) -> List[int]:
+    """Inverse of :func:`item_bits`: the fids of a bitset, ascending."""
+    items = []
+    while bits:
+        low = bits & -bits
+        items.append(low.bit_length() - 1)
+        bits ^= low
+    return items
 
 
 class HierarchyError(ValueError):
@@ -169,9 +188,6 @@ class Dictionary:
         """Ancestor fids of ``fid`` including itself, ascending."""
         return self.anc[fid - 1]
 
-    def ancestor_set(self, fid: int) -> frozenset:
-        return self._anc_sets[fid - 1]
-
     def is_descendant(self, fid: int, of: int) -> bool:
         """True iff ``fid ⇒* of`` (reflexive)."""
         return of in self._anc_sets[fid - 1]
@@ -192,6 +208,18 @@ class Dictionary:
 
     def is_frequent(self, fid: int, sigma: int) -> bool:
         return self.dfreq[fid - 1] >= sigma
+
+    def frequent_mask(self, sigma: Optional[int]) -> int:
+        """Bitset of the items with f ≥ sigma plus bit 0 (ε), memoised per
+        sigma; all bits set when ``sigma`` is None (no filtering)."""
+        if sigma is None:
+            return -1
+        masks = self.__dict__.setdefault("_masks", {})
+        mask = masks.get(sigma)
+        if mask is None:
+            bits = "".join("1" if f >= sigma else "0" for f in reversed(self.dfreq))
+            mask = masks[sigma] = int(bits + "1", 2)
+        return mask
 
     # -- encoding -------------------------------------------------------
     def encode(self, seq: Sequence[str]) -> Tuple[int, ...]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.hierarchy import Dictionary
+from repro.hierarchy import EPS_BITS, Dictionary, item_bits
 
 # Matcher tags -----------------------------------------------------------
 M_ANY = "any"  # ("any",)            matches every item
@@ -28,6 +28,9 @@ O_SELF = "self"  # ("self",)         outputs {t}
 O_ANC = "anc"  # ("anc",)            outputs anc(t)
 O_ANC_UPTO = "anc_upto"  # ("anc_upto", w)  outputs anc(t) ∩ desc(w)
 O_CONST = "const"  # ("const", w)    outputs {w}
+
+# One matching transition for an input item: (dst, out, bits); see Fst.step.
+Step = Tuple[int, Tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -62,9 +65,6 @@ class Transition:
             return tuple(a for a in d.ancestors(t) if d.is_descendant(a, w))
         return (self.output[1],)  # O_CONST
 
-    def produces_output(self) -> bool:
-        return self.output[0] != O_EPS
-
 
 @dataclass(frozen=True)
 class Fst:
@@ -75,34 +75,30 @@ class Fst:
     finals: frozenset
     transitions: Tuple[Transition, ...]
 
-    def by_src(self) -> List[List[Transition]]:
-        """Transitions grouped by source state (computed on demand; the
-        result is cached on first use via ``object.__setattr__`` because the
-        dataclass is frozen)."""
-        cached = getattr(self, "_by_src", None)
-        if cached is None:
-            cached = [[] for _ in range(self.n_states)]
+    def step(self, q: int, t: int, d: Dictionary) -> Tuple[Step, ...]:
+        """Every transition from state ``q`` that matches input item ``t``,
+        as ``(dst, out, bits)``: ``out`` is the output tuple (``()`` = ε)
+        and ``bits`` the output as a bitset with bit 0 standing for ε."""
+        return self.steps(t, d)[q]
+
+    def steps(self, t: int, d: Dictionary) -> Tuple[Tuple[Step, ...], ...]:
+        """:meth:`step` for all states at once, indexed by state; the only
+        place that evaluates matchers and outputs. Memoised per item for one
+        Dictionary (another Dictionary starts the memo afresh)."""
+        memo = self.__dict__.get("_steps")
+        if memo is None or memo[0] is not d:
+            memo = (d, {})
+            object.__setattr__(self, "_steps", memo)
+        row = memo[1].get(t)
+        if row is None:
+            by_src: List[List[Step]] = [[] for _ in range(self.n_states)]
             for tr in self.transitions:
-                cached[tr.src].append(tr)
-            object.__setattr__(self, "_by_src", cached)
-        return cached
+                if tr.matches(t, d):
+                    out = tr.out(t, d)
+                    by_src[tr.src].append((tr.dst, out, item_bits(out) if out else EPS_BITS))
+            row = memo[1][t] = tuple(map(tuple, by_src))
+        return row
 
-    def step(self, q: int, t: int, d: Dictionary) -> List[Transition]:
-        """All transitions from state ``q`` that match input item ``t``."""
-        return [tr for tr in self.by_src()[q] if tr.matches(t, d)]
-
-    def describe(self, d: Dictionary) -> str:
-        """Human-readable transition table (for tests and debugging)."""
-
-        def fmt(tag_tuple: Tuple) -> str:
-            tag = tag_tuple[0]
-            if len(tag_tuple) == 1:
-                return tag
-            return f"{tag}({d.name(tag_tuple[1])})"
-
-        lines = [f"states={self.n_states} initial={self.initial} finals={sorted(self.finals)}"]
-        for tr in self.transitions:
-            lines.append(
-                f"  δ{tr.idx}: q{tr.src} --[{fmt(tr.matcher)} / {fmt(tr.output)}]--> q{tr.dst}"
-            )
-        return "\n".join(lines)
+    def __getstate__(self):
+        # Ship the definition only; workers rebuild their own memos.
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}

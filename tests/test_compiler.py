@@ -194,6 +194,18 @@ class TestGuards:
         assert generate(fst2, d.encode(DEX[4]), d) == generate(
             fst, d.encode(DEX[4]), d
         )
+        # The step memo filled above is not shipped with the FST.
+        assert "_steps" in fst.__dict__
+        assert "_steps" not in pickle.loads(pickle.dumps(fst)).__dict__
+
+    def test_step_memo_is_per_dictionary(self, d):
+        """The memo belongs to one Dictionary: the same fids under another
+        hierarchy must not reuse its rows."""
+        fst = compile_patex("(A^)", d)
+        a1 = d.fid_of["a1"]
+        assert fst.step(0, a1, d) == ((1, (2, 4), 0b10100),)  # anc(a1) = {A, a1}
+        flat = Dictionary.build(DEX, {"a2": ["A"]}, order=PAPER_ORDER)
+        assert fst.step(0, a1, flat) == ()  # a1 is no longer below A
 
     def test_piex_fst_small(self, d):
         """ε-elimination + trimming yields a compact FST (Fig. 4 has 3

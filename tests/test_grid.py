@@ -4,22 +4,36 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hierarchy import EPSILON, Dictionary
+from repro.core import mine_sequential
+from repro.hierarchy import EPS_BITS, EPSILON, Dictionary, bit_items, item_bits
 from repro.patex import compile_patex
 from repro.desq.grid import (
     EMPTY,
     EPS_SET,
     build_grid,
+    merge_bits,
     pivot_items,
     pivot_items_bruteforce,
     pivot_merge,
     prefix_pivots,
 )
+from repro.desq.rewrite import pivot_representations
+from repro.desq.simulate import generate
 from tests.conftest import DEX
+
+# ε (0), small fids and fids above 63, so that bitsets span several words;
+# min_size=0 adds ∅ (dead).
+ITEMS = st.one_of(st.integers(0, 8), st.integers(60, 130))
+SETS = st.frozensets(ITEMS, max_size=4)
 
 
 def fs(*xs):
     return frozenset(xs)
+
+
+def bits_merge(u, q):
+    """⊕ through the bitset kernel, converted back to a set."""
+    return frozenset(bit_items(merge_bits(item_bits(u), item_bits(q))))
 
 
 class TestPivotMerge:
@@ -39,48 +53,45 @@ class TestPivotMerge:
     def test_eps_identity(self):
         assert pivot_merge(fs(3, 4), EPS_SET) == fs(3, 4)
         assert pivot_merge(EPS_SET, EPS_SET) == EPS_SET
+        assert merge_bits(item_bits(fs(3, 70)), EPS_BITS) == item_bits(fs(3, 70))
+        assert merge_bits(EPS_BITS, EPS_BITS) == EPS_BITS
 
     def test_empty_annihilates(self):
         assert pivot_merge(fs(1, 2), EMPTY) == EMPTY
         assert pivot_merge(EMPTY, fs(1, 2)) == EMPTY
+        assert merge_bits(item_bits(fs(1, 99)), 0) == 0
+        assert merge_bits(0, EPS_BITS) == 0
 
-    @given(
-        st.lists(
-            st.frozensets(st.integers(1, 8), min_size=1, max_size=4),
-            min_size=1,
-            max_size=5,
-        )
-    )
+    @given(st.lists(SETS, min_size=1, max_size=5))
     @settings(max_examples=200, deadline=None)
     def test_fold_equals_bruteforce(self, sets):
         """Theorem 1: folding ⊕ over output sets = pivots of the Cartesian
-        product."""
-        folded = sets[0]
+        product; the bitset fold agrees."""
+        folded, folded_bits = sets[0], item_bits(sets[0])
         for s in sets[1:]:
             folded = pivot_merge(folded, s)
+            folded_bits = merge_bits(folded_bits, item_bits(s))
         brute = {max(combo) for combo in itertools.product(*sets)}
         assert folded == frozenset(brute)
+        assert frozenset(bit_items(folded_bits)) == folded
 
-    @given(
-        st.frozensets(st.integers(0, 8), min_size=1, max_size=4),
-        st.frozensets(st.integers(0, 8), min_size=1, max_size=4),
-        st.frozensets(st.integers(0, 8), min_size=1, max_size=4),
-    )
+    @given(SETS, SETS, SETS)
     @settings(max_examples=200, deadline=None)
     def test_commutative_associative(self, a, b, c):
         assert pivot_merge(a, b) == pivot_merge(b, a)
         assert pivot_merge(pivot_merge(a, b), c) == pivot_merge(
             a, pivot_merge(b, c)
         )
+        assert bits_merge(a, b) == bits_merge(b, a) == pivot_merge(a, b)
+        assert bits_merge(bits_merge(a, b), c) == pivot_merge(pivot_merge(a, b), c)
+        assert bits_merge(a, bits_merge(b, c)) == pivot_merge(a, pivot_merge(b, c))
 
-    @given(
-        st.frozensets(st.integers(0, 8), min_size=1, max_size=4),
-        st.frozensets(st.integers(0, 8), min_size=1, max_size=4),
-        st.frozensets(st.integers(0, 8), min_size=1, max_size=4),
-    )
+    @given(SETS, SETS, SETS)
     @settings(max_examples=200, deadline=None)
     def test_distributes_over_union(self, a, b, c):
         assert pivot_merge(a | b, c) == pivot_merge(a, c) | pivot_merge(b, c)
+        assert bits_merge(a | b, c) == bits_merge(a, c) | bits_merge(b, c)
+        assert bits_merge(a | b, c) == pivot_merge(a | b, c)
 
 
 class TestGrid:
@@ -100,17 +111,38 @@ class TestGrid:
         T2 = dex_encoded[1]
         grid = build_grid(piex_fst, T2, dex_dict)
         A = prefix_pivots(grid, piex_fst, dex_dict, sigma=None)
+        K = lambda i, q: frozenset(bit_items(A[i][q]))  # noqa: E731
         a1, e = 4, 6
-        assert A[4][1] == fs(a1, e)
-        assert A[3][1] == fs(a1)
+        assert K(4, 1) == fs(a1, e)
+        assert K(3, 1) == fs(a1)
         # q0 coordinates carry {ε} only.
-        assert A[2][0] == EPS_SET
+        assert K(2, 0) == EPS_SET
         # Final coordinate: K(7, q2) = {a1, e} before σ-filtering.
-        assert A[7][2] == fs(a1, e)
+        assert K(7, 2) == fs(a1, e)
 
     def test_fig5_sigma_filter_excludes_e(self, piex_fst, dex_dict, dex_encoded):
         """With σ=2, e (f=1) is never added: K(T2) = {a1}."""
         assert pivot_items(piex_fst, dex_encoded[1], dex_dict, 2) == {4}
+
+
+class TestDeadIsNotEpsilon:
+    """An edge whose output items are all infrequent is dead, not ε: it kills
+    every run through it and is never followed as an ε-output edge."""
+
+    DB = [["a", "x", "b"], ["a", "y", "b"]]
+
+    def test_mine_sequential(self):
+        assert mine_sequential(self.DB, {}, "(a) (.) (b)", 2) == {}
+        assert mine_sequential(self.DB, {}, "(a) . (b)", 2) == {("a", "b"): 2}
+
+    def test_pivot_search_and_rewrite(self):
+        d = Dictionary.build(self.DB, {})
+        fst = compile_patex("(a) (.) (b)", d)
+        for seq in self.DB:
+            T = d.encode(seq)
+            assert pivot_items(fst, T, d, 2) == set()
+            assert pivot_representations(fst, T, d, 2) == {}
+            assert generate(fst, T, d, sigma=2) == set()
 
 
 class TestPivotItems:

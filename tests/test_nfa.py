@@ -174,6 +174,33 @@ class TestSerialization:
         assert back.language() == nfa.language()
 
 
+    def test_golden_payloads(self, piex_fst, dex_dict, dex_encoded):
+        """Fig. 7c's ρc(T1) and Fig. 8's ρa1(T5), int for int: the payload
+        is what D-CAND shuffles, so its encoding must not drift."""
+        c, a1 = dex_dict.fid_of["c"], dex_dict.fid_of["a1"]
+        assert serialize(nfas_for(piex_fst, dex_encoded[0], dex_dict, 1)[c]) == (
+            0, 1, 4, 0, 1, 3, 0, 1, 5, 4, 1, 1, 1, 1, 1, 5, 2, 1, 1, 4, 1, 5,
+            1, 3, 2, 1, 1, 4, 3, 6, 1, 5, 3, 3, 5, 1, 5, 3,
+        )
+        assert serialize(nfas_for(piex_fst, dex_encoded[4], dex_dict, 1)[a1]) == (
+            0, 1, 4, 4, 1, 1, 1, 1, 2, 2, 4, 2, 1, 1, 2,
+        )
+
+    def test_long_chain_roundtrip(self):
+        """A 6000-state chain (Table II's sequences reach 10⁴+ items)
+        serializes, deserializes and enumerates without recursion."""
+        n = 6000
+        labels = [(i % 7 + 1,) for i in range(n)]
+        nfa = Nfa(
+            tuple(((lab, i + 1),) for i, lab in enumerate(labels)) + ((),),
+            (False,) * n + (True,),
+        )
+        data = serialize(nfa)
+        assert len(data) == 3 * n  # flags, len(label), item per edge
+        assert deserialize(data) == nfa
+        assert nfa.language() == {tuple(lab[0] for lab in labels)}
+
+
 class TestNfaMining:
     def test_counts_running_example_pa1(self, piex_fst, dex_dict, dex_encoded):
         """Partition Pa1 via NFAs: same result as the paper (σ=2)."""
