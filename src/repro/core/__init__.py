@@ -9,6 +9,7 @@ and result materialization as a DataFrame(pattern, support).
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from pyspark.sql import DataFrame, SparkSession
@@ -22,7 +23,17 @@ from repro.core.dseq import d_seq
 from repro.core.flist import build_dictionary
 from repro.core.naive import naive
 
-ALGORITHMS = ("naive", "semi_naive", "dseq", "dcand")
+ALGORITHMS = {
+    "naive": partial(naive, semi=False),
+    "semi_naive": partial(naive, semi=True),
+    "dseq": d_seq,
+    "dcand": d_cand,
+}
+
+
+def _check_sigma(sigma: int) -> None:
+    if sigma < 1:
+        raise ValueError(f"sigma must be at least 1, got {sigma}")
 
 
 def mine(
@@ -44,38 +55,17 @@ def mine(
     ``rewrite``, ``early_stop`` for D-SEQ; ``aggregate``, ``minimize_nfas``,
     ``max_runs`` for D-CAND; ``max_candidates`` for the naïve methods).
     Returns a DataFrame with columns ``pattern`` (space-joined item names)
-    and ``support``.
+    and ``support``. Raises ValueError for σ < 1 or an unknown algorithm.
     """
-    rdd, d = _prepare(spark, df, hierarchy, patex, sigma, item_col,
-                      dictionary, num_partitions)
-    fst = compile_patex(patex, d)
-    if algorithm == "naive":
-        result = naive(rdd, fst, d, sigma, semi=False, **options)
-    elif algorithm == "semi_naive":
-        result = naive(rdd, fst, d, sigma, semi=True, **options)
-    elif algorithm == "dseq":
-        result = d_seq(rdd, fst, d, sigma, **options)
-    elif algorithm == "dcand":
-        result = d_cand(rdd, fst, d, sigma, **options)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
-    return framework.results_to_df(spark, result.collect(), d)
-
-
-def _prepare(
-    spark: SparkSession,
-    df: DataFrame,
-    hierarchy: Mapping[str, Sequence[str]],
-    patex: str,
-    sigma: int,
-    item_col: str,
-    dictionary: Optional[Dictionary],
-    num_partitions: int,
-):
+    _check_sigma(sigma)
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; use one of {tuple(ALGORITHMS)}")
     df = framework.with_seq_ids(df, item_col)
     d = dictionary or build_dictionary(spark, df, hierarchy, item_col)
     rdd = framework.encode_rdd(df, d, item_col, num_partitions)
-    return rdd, d
+    fst = compile_patex(patex, d)
+    result = ALGORITHMS[algorithm](rdd, fst, d, sigma, **options)
+    return framework.results_to_df(spark, result.collect(), d)
 
 
 def mine_sequential(
@@ -86,7 +76,9 @@ def mine_sequential(
     *,
     dictionary: Optional[Dictionary] = None,
 ) -> Dict[Tuple[str, ...], int]:
-    """Sequential DESQ-DFS over in-memory sequences (Table V baseline)."""
+    """Sequential DESQ-DFS over in-memory sequences (Table V baseline).
+    Raises ValueError for σ < 1."""
+    _check_sigma(sigma)
     d = dictionary or Dictionary.build(sequences, hierarchy)
     fst = compile_patex(patex, d)
     inputs = [((d.encode(s), None), 1) for s in sequences]

@@ -9,7 +9,7 @@ Map (per input sequence T):
   * minimize each trie (Revuz) and serialize it with the DFS scheme,
   * emit ``(k, serialized_nfa)``.
 
-Shuffle (exactly one): ``combineByKey`` aggregates identical NFAs into
+Shuffle: the skeleton's ``combineByKey`` aggregates identical NFAs into
 weights map-side — the paper's combine function; the serialized form is a
 hashable int tuple precisely so this aggregation is a dict update.
 
@@ -32,7 +32,7 @@ from repro.patex.fst import Fst
 from repro.desq.grid import merge_bits
 from repro.desq.nfa import build_pivot_nfas, deserialize, mine_nfas, serialize
 from repro.desq.simulate import accepting_runs, run_output_sets
-from repro.core.framework import merge_weight_dicts
+from repro.core.framework import one_round
 
 
 def d_cand(
@@ -45,13 +45,13 @@ def d_cand(
     minimize_nfas: bool = True,
     max_runs: Optional[int] = 1_000_000,
 ) -> RDD:
-    """RDD of fid tuples → RDD of (subsequence, frequency), frequency ≥ σ."""
-    sc = seq_rdd.context
-    fst_bc = sc.broadcast(fst)
-    d_bc = sc.broadcast(d)
+    """RDD of fid tuples → RDD of (subsequence, frequency), frequency ≥ σ.
 
-    def map_phase(T):
-        fst_, d_ = fst_bc.value, d_bc.value
+    ``aggregate=False`` is the Fig. 10b "no agg" ablation: every NFA is
+    shipped individually and only counted by the reducer.
+    """
+
+    def map_fn(fst_, d_, T):
         mask = d_.frequent_mask(sigma)
 
         def runs():
@@ -72,34 +72,8 @@ def d_cand(
         )
         return [(k, serialize(nfa)) for k, nfa in nfas.items()]
 
-    def create_combiner(payload):
-        return {payload: 1}
-
-    def merge_value(weights, payload):
-        weights[payload] = weights.get(payload, 0) + 1
-        return weights
-
-    def reduce_phase(kv):
-        k, weights = kv
+    def reduce_fn(fst_, d_, k, weights):
         inputs = [(deserialize(payload), w) for payload, w in weights.items()]
         return list(mine_nfas(inputs, sigma, pivot=k).items())
 
-    mapped = seq_rdd.flatMap(map_phase)
-    if aggregate:
-        partitions = mapped.combineByKey(
-            create_combiner, merge_value, merge_weight_dicts
-        )
-    else:
-        # Ablation (Fig. 10b "no agg"): ship every NFA individually; the
-        # reducer still groups them, but nothing is merged map-side.
-        partitions = mapped.groupByKey().mapValues(
-            lambda payloads: _count_payloads(payloads)
-        )
-    return partitions.flatMap(reduce_phase)
-
-
-def _count_payloads(payloads) -> dict:
-    weights: dict = {}
-    for p in payloads:
-        weights[p] = weights.get(p, 0) + 1
-    return weights
+    return one_round(seq_rdd, fst, d, map_fn, reduce_fn, combine=aggregate)

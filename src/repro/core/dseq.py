@@ -8,7 +8,7 @@ Map (per input sequence T):
     trimmed rewrite (Sec. V-B; full T when ``rewrite=False``) and
     last_pivot_pos feeds the reducer's early-stopping heuristic.
 
-Shuffle (exactly one): ``combineByKey`` aggregates identical
+Shuffle: the skeleton's ``combineByKey`` aggregates identical
 representations into weights map-side (LASH-style; identical rewritten
 sequences are mined once).
 
@@ -24,7 +24,7 @@ from repro.patex.fst import Fst
 from repro.desq.dfs import mine
 from repro.desq.grid import pivot_items_bruteforce
 from repro.desq.rewrite import pivot_representations
-from repro.core.framework import merge_weight_dicts
+from repro.core.framework import one_round
 
 
 def d_seq(
@@ -38,12 +38,8 @@ def d_seq(
     early_stop: bool = True,
 ) -> RDD:
     """RDD of fid tuples → RDD of (subsequence, frequency), frequency ≥ σ."""
-    sc = seq_rdd.context
-    fst_bc = sc.broadcast(fst)
-    d_bc = sc.broadcast(d)
 
-    def map_phase(T):
-        fst_, d_ = fst_bc.value, d_bc.value
+    def map_fn(fst_, d_, T):
         if use_grid:
             reps = pivot_representations(fst_, T, d_, sigma, rewrite=rewrite)
         else:
@@ -54,26 +50,10 @@ def d_seq(
             }
         return list(reps.items())
 
-    def create_combiner(rep):
-        return {rep: 1}
-
-    def merge_value(weights, rep):
-        weights[rep] = weights.get(rep, 0) + 1
-        return weights
-
-    def reduce_phase(kv):
-        k, weights = kv
+    def reduce_fn(fst_, d_, k, weights):
         results = mine(
-            list(weights.items()),
-            fst_bc.value,
-            d_bc.value,
-            sigma,
-            pivot=k,
-            early_stop=early_stop,
+            list(weights.items()), fst_, d_, sigma, pivot=k, early_stop=early_stop
         )
         return list(results.items())
 
-    partitions = seq_rdd.flatMap(map_phase).combineByKey(
-        create_combiner, merge_value, merge_weight_dicts
-    )
-    return partitions.flatMap(reduce_phase)
+    return one_round(seq_rdd, fst, d, map_fn, reduce_fn)

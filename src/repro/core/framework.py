@@ -1,21 +1,23 @@
-"""Shared plumbing for the distributed FSM algorithms (paper Alg. 1).
+"""The distributed FSM skeleton (paper Alg. 1) and its plumbing.
 
-All four algorithms (NAÏVE, SEMI-NAÏVE, D-SEQ, D-CAND) follow the same
-map → shuffle → reduce skeleton with exactly one round of communication.
-This module provides the pieces around that skeleton: encoding sequence
-DataFrames into RDDs of fid tuples, materializing results as DataFrames,
-and asserting the one-shuffle property from an RDD lineage.
+All four algorithms (NAÏVE, SEMI-NAÏVE, D-SEQ, D-CAND) are one
+map → shuffle → reduce round, :func:`one_round`, and differ only in the map
+and reduce functions they pass to it. Around the skeleton: encoding
+sequence DataFrames into RDDs of fid tuples, materializing results as
+DataFrames, and counting shuffles in an RDD lineage.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from collections import Counter
+from typing import Callable, Dict, List, Tuple
 
-from pyspark import RDD, SparkContext
+from pyspark import RDD
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StringType, StructField, StructType
 
 from repro.hierarchy import Dictionary
+from repro.patex.fst import Fst
 
 
 def with_seq_ids(df: DataFrame, item_col: str = "items") -> DataFrame:
@@ -29,11 +31,8 @@ def encode_rdd(
     df: DataFrame, d: Dictionary, item_col: str = "items", num_partitions: int = 0
 ) -> RDD:
     """DataFrame of string-array sequences → RDD of fid tuples."""
-    sc = df.sparkSession.sparkContext
-    d_bc = sc.broadcast(d)
-    rdd = df.select(item_col).rdd.map(
-        lambda row: tuple(d_bc.value.fid_of[t] for t in row[0])
-    )
+    fid_of = d.fid_of
+    rdd = df.select(item_col).rdd.map(lambda row: tuple(fid_of[t] for t in row[0]))
     if num_partitions:
         rdd = rdd.repartition(num_partitions)
     return rdd
@@ -68,3 +67,44 @@ def merge_weight_dicts(a: Dict, b: Dict) -> Dict:
     for k, w in b.items():
         a[k] = a.get(k, 0) + w
     return a
+
+
+def _add_rep(weights: Dict, rep) -> Dict:
+    weights[rep] = weights.get(rep, 0) + 1
+    return weights
+
+
+def one_round(
+    seq_rdd: RDD,
+    fst: Fst,
+    d: Dictionary,
+    map_fn: Callable,
+    reduce_fn: Callable,
+    *,
+    combine: bool = True,
+) -> RDD:
+    """Alg. 1: ``map_fn(fst, d, T)`` yields ``(key, rep)`` pairs for each
+    sequence T; one shuffle groups them by key; ``reduce_fn(fst, d, key,
+    {rep: weight})`` yields ``(subsequence, frequency)`` pairs. ``(fst, d)``
+    is broadcast once for both phases.
+
+    With ``combine`` (the default) identical reps are merged into weights
+    map-side by ``combineByKey``, the paper's combine function; without it
+    (Fig. 10b "no agg") every rep is shipped and counted by the reducer.
+    """
+    bc = seq_rdd.context.broadcast((fst, d))
+
+    def map_phase(T):
+        return map_fn(*bc.value, T)
+
+    def reduce_phase(kv):
+        return reduce_fn(*bc.value, *kv)
+
+    mapped = seq_rdd.flatMap(map_phase)
+    if combine:
+        partitions = mapped.combineByKey(
+            lambda rep: {rep: 1}, _add_rep, merge_weight_dicts
+        )
+    else:
+        partitions = mapped.groupByKey().mapValues(Counter)
+    return partitions.flatMap(reduce_phase)

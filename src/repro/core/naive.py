@@ -10,7 +10,8 @@ partition key (distributed word-count over candidates).
 
 Both produce identical final output (a frequent subsequence never contains
 an infrequent item), which makes them byte-for-byte oracles for D-SEQ and
-D-CAND in the tests. One round of communication: ``reduceByKey``.
+D-CAND in the tests. The map emits ``(candidate, ())``, so the skeleton's
+weights are ``{(): count}``.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from pyspark import RDD
 from repro.hierarchy import Dictionary
 from repro.patex.fst import Fst
 from repro.desq.simulate import generate
+from repro.core.framework import one_round
 
 
 def naive(
@@ -33,25 +35,16 @@ def naive(
     max_candidates: Optional[int] = 2_000_000,
 ) -> RDD:
     """RDD of fid tuples → RDD of (subsequence, frequency), frequency ≥ σ."""
-    sc = seq_rdd.context
-    fst_bc = sc.broadcast(fst)
-    d_bc = sc.broadcast(d)
     gen_sigma = sigma if semi else None
 
-    def gen(T):
+    def map_fn(fst_, d_, T):
         # Distinct per input sequence: support counts sequences, not
         # occurrences.
-        cands = generate(
-            fst_bc.value,
-            T,
-            d_bc.value,
-            sigma=gen_sigma,
-            max_candidates=max_candidates,
-        )
-        return [(c, 1) for c in cands]
+        cands = generate(fst_, T, d_, sigma=gen_sigma, max_candidates=max_candidates)
+        return [(c, ()) for c in cands]
 
-    return (
-        seq_rdd.flatMap(gen)
-        .reduceByKey(lambda a, b: a + b)
-        .filter(lambda kv: kv[1] >= sigma)
-    )
+    def reduce_fn(fst_, d_, c, weights):
+        if weights[()] >= sigma:
+            yield c, weights[()]
+
+    return one_round(seq_rdd, fst, d, map_fn, reduce_fn)

@@ -20,21 +20,16 @@ generator below produces a deterministic corpus with the same *shape*:
 * ``amzn_f_lite`` — the forest variant: multi-parent products keep their
   first (most popular) subcategory, mirroring the paper's AMZN-F.
 * ``cw_lite`` — flat Zipf sentences (no hierarchy) via
-  :func:`repro.synth_data.zipf_sequences_raw`.
+  :func:`zipf_sequences_raw`.
 
 Each ``*_raw`` function returns ``(sequences, hierarchy)`` as plain Python
-objects (for the sequential baseline and unit tests); the same-named
-Spark wrapper returns ``(DataFrame(seq_id, items), hierarchy)``.
+objects; :data:`DATASETS` names them and :func:`load` caches them.
 """
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-
-from repro.synth_data import zipf_sequences_raw
 
 Hierarchy = Dict[str, List[str]]
 
@@ -298,6 +293,31 @@ def amzn_f_lite_raw(n: int = 500, seed: int = 23) -> Tuple[List[List[str]], Hier
 # CW-lite
 # ---------------------------------------------------------------------------
 
+def zipf_sequences_raw(
+    *,
+    n: int,
+    vocab_size: int,
+    alpha: float = 1.3,
+    mean_len: float = 19.0,
+    prefix: str = "w",
+    seed: int = 6,
+) -> list:
+    """Zipf-unigram sentences as Python lists (no hierarchy) — the flat
+    corpus shape of ClueWeb-style datasets."""
+    g = np.random.default_rng(seed)
+    ranks = np.arange(1, vocab_size + 1)
+    weights = 1.0 / ranks**alpha
+    weights /= weights.sum()
+    lengths = np.maximum(1, g.poisson(mean_len, n))
+    words = g.choice(ranks, size=int(lengths.sum()), p=weights)
+    out = []
+    pos = 0
+    for L in lengths:
+        out.append([f"{prefix}{w}" for w in words[pos : pos + L]])
+        pos += L
+    return out
+
+
 def cw_lite_raw(n: int = 500, seed: int = 31) -> Tuple[List[List[str]], Hierarchy]:
     return (
         zipf_sequences_raw(n=n, vocab_size=2000, alpha=1.25, mean_len=19.0, seed=seed),
@@ -306,34 +326,8 @@ def cw_lite_raw(n: int = 500, seed: int = 31) -> Tuple[List[List[str]], Hierarch
 
 
 # ---------------------------------------------------------------------------
-# Spark wrappers and registry
+# Registry
 # ---------------------------------------------------------------------------
-
-def _to_df(spark: SparkSession, seqs: List[List[str]]) -> DataFrame:
-    return spark.createDataFrame(
-        pd.DataFrame({"seq_id": np.arange(len(seqs)), "items": seqs})
-    )
-
-
-def nyt_lite(spark: SparkSession, n: int = 500, seed: int = 17):
-    seqs, h = nyt_lite_raw(n, seed)
-    return _to_df(spark, seqs), h
-
-
-def amzn_lite(spark: SparkSession, n: int = 500, seed: int = 23):
-    seqs, h = amzn_lite_raw(n, seed)
-    return _to_df(spark, seqs), h
-
-
-def amzn_f_lite(spark: SparkSession, n: int = 500, seed: int = 23):
-    seqs, h = amzn_f_lite_raw(n, seed)
-    return _to_df(spark, seqs), h
-
-
-def cw_lite(spark: SparkSession, n: int = 500, seed: int = 31):
-    seqs, h = cw_lite_raw(n, seed)
-    return _to_df(spark, seqs), h
-
 
 DATASETS = {
     "NYT-lite": nyt_lite_raw,

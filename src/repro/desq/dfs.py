@@ -1,7 +1,8 @@
 """DESQ-DFS: pattern-growth mining with flexible constraints (Sec. V-C).
 
-Mining starts from the empty prefix and recursively expands it by one
-output item at a time. Each prefix is associated with a *projected
+Mining starts from the empty prefix and expands it by one output item at a
+time, depth-first with an explicit stack (output patterns can be thousands
+of items long). Each prefix is associated with a *projected
 database*: a list of snapshots ``(seq_idx, pos, state)`` recording where
 the FST simulation of each input sequence stands after producing the
 prefix. Expanding a prefix follows ε-output transitions transitively and
@@ -103,7 +104,6 @@ def mine(
     *,
     pivot: Optional[int] = None,
     early_stop: bool = True,
-    max_prefix_len: Optional[int] = None,
 ) -> Dict[Sequence_, int]:
     """Mine frequent subsequences from weighted input sequences.
 
@@ -123,8 +123,14 @@ def mine(
         if ctx.table[0] >> fst.initial & 1
     ]
     results: Dict[Sequence_, int] = {}
-    _expand((), projected0, contexts, fst, d, sigma, pivot, early_stop,
-            max_prefix_len, results)
+    # Pre-order DFS; children are pushed in descending item order so they
+    # are visited, and their results recorded, in ascending order.
+    stack = [((), projected0)]
+    while stack:
+        prefix, projected = stack.pop()
+        by_item = _expand(prefix, sorted(projected), contexts, fst, d, sigma,
+                          pivot, early_stop, results)
+        stack.extend((prefix + (w,), by_item[w]) for w in sorted(by_item, reverse=True))
     return results
 
 
@@ -149,13 +155,14 @@ def _expand(
     sigma: int,
     pivot: Optional[int],
     early_stop: bool,
-    max_prefix_len: Optional[int],
     results: Dict[Sequence_, int],
-) -> None:
+) -> Dict[int, Set[Tuple[int, int, int]]]:
+    """Record ``prefix`` in ``results`` if it qualifies; return its
+    expansions as item → projected database."""
     # Support bound: distinct sequences in the projected database. If it is
     # below σ, no extension (nor the prefix itself) can be frequent.
     if _support(projected, contexts) < sigma:
-        return
+        return {}
 
     # Does the prefix itself qualify? Count sequences with an accepting
     # ε-closure; output if frequent and pivot-compatible.
@@ -171,9 +178,6 @@ def _expand(
                 support += contexts[idx].weight
         if support >= sigma and (pivot is None or max(prefix) == pivot):
             results[prefix] = support
-
-    if max_prefix_len is not None and len(prefix) >= max_prefix_len:
-        return
 
     # Collect expansions: item w -> new projected database.
     has_pivot = pivot is not None and pivot in prefix
@@ -201,16 +205,4 @@ def _expand(
                         continue
                 by_item.setdefault(w, set()).add((idx, npos, nq))
 
-    for w in sorted(by_item):
-        _expand(
-            prefix + (w,),
-            sorted(by_item[w]),
-            contexts,
-            fst,
-            d,
-            sigma,
-            pivot,
-            early_stop,
-            max_prefix_len,
-            results,
-        )
+    return by_item

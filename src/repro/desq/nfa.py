@@ -289,12 +289,14 @@ def mine_nfas(
     pattern-growth expansion tracks *sets* of states per NFA.
     """
     results: Dict[Tuple[int, ...], int] = {}
-
-    # Projected database: list of (nfa_idx, frozenset-of-states).
-    def expand(prefix: Tuple[int, ...], projected: List[Tuple[int, FrozenSet[int]]]):
+    # Projected database: list of (nfa_idx, frozenset-of-states). Pre-order
+    # DFS with an explicit stack, children pushed in descending item order.
+    stack = [((), [(i, frozenset({0})) for i in range(len(weighted))])]
+    while stack:
+        prefix, projected = stack.pop()
         support = sum(weighted[i][1] for i, _ in projected)
         if support < sigma:
-            return
+            continue
         if prefix and max(prefix) == pivot:
             acc = sum(
                 weighted[i][1]
@@ -313,9 +315,5 @@ def mine_nfas(
                         moves.setdefault(w, set()).add(tgt)
             for w, tgts in moves.items():
                 by_item.setdefault(w, []).append((i, frozenset(tgts)))
-        for w in sorted(by_item):
-            expand(prefix + (w,), by_item[w])
-
-    projected0 = [(i, frozenset({0})) for i in range(len(weighted))]
-    expand((), projected0)
+        stack.extend((prefix + (w,), by_item[w]) for w in sorted(by_item, reverse=True))
     return results

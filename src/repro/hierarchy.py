@@ -113,15 +113,12 @@ class Dictionary:
     anc:
         ``anc[fid - 1]`` is the tuple of ancestor fids of the item,
         *including itself*, sorted ascending (most frequent first).
-    parents:
-        direct-parent fids per item (for dataset statistics).
     """
 
     names: Tuple[str, ...]
     fid_of: Mapping[str, int]
     dfreq: Tuple[int, ...]
     anc: Tuple[Tuple[int, ...], ...]
-    parents: Tuple[Tuple[int, ...], ...]
     _anc_sets: Tuple[frozenset, ...] = field(repr=False, default=())
 
     # -- construction ---------------------------------------------------
@@ -168,11 +165,8 @@ class Dictionary:
         anc = tuple(
             tuple(sorted(fid_of[a] for a in closure[w])) for w in ordered
         )
-        parents = tuple(
-            tuple(sorted(fid_of[p] for p in hierarchy.get(w, ()))) for w in ordered
-        )
         anc_sets = tuple(frozenset(a) for a in anc)
-        return cls(names, fid_of, dfreq_t, anc, parents, anc_sets)
+        return cls(names, fid_of, dfreq_t, anc, anc_sets)
 
     # -- basic accessors ------------------------------------------------
     def __len__(self) -> int:

@@ -6,9 +6,7 @@ import pandas as pd
 import pytest
 
 from repro import oracle
-from repro.core import mine, mine_sequential
-from repro.core.dcand import d_cand
-from repro.core.dseq import d_seq
+from repro.core import ALGORITHMS, mine, mine_sequential
 from repro.core.flist import (
     FLIST_ORACLE_SQL,
     build_dictionary,
@@ -16,8 +14,7 @@ from repro.core.flist import (
     exploded_df,
     flist_df,
 )
-from repro.core.framework import count_shuffles, encode_rdd, with_seq_ids
-from repro.core.naive import naive
+from repro.core.framework import count_shuffles, encode_rdd
 from repro.hierarchy import Dictionary
 from repro.patex import compile_patex
 from tests.conftest import DEX, HIER, PAPER_ORDER, PIEX
@@ -68,14 +65,7 @@ class TestFlist:
 
 
 def run_algorithm(algo, rdd, fst, d, sigma, **kw):
-    if algo == "naive":
-        out = naive(rdd, fst, d, sigma, semi=False, **kw)
-    elif algo == "semi_naive":
-        out = naive(rdd, fst, d, sigma, semi=True, **kw)
-    elif algo == "dseq":
-        out = d_seq(rdd, fst, d, sigma, **kw)
-    else:
-        out = d_cand(rdd, fst, d, sigma, **kw)
+    out = ALGORITHMS[algo](rdd, fst, d, sigma, **kw)
     return {d.decode_str(seq): f for seq, f in out.collect()}
 
 
@@ -98,14 +88,7 @@ class TestOneShuffle:
 
     @pytest.mark.parametrize("algo", ["naive", "semi_naive", "dseq", "dcand"])
     def test_single_shuffle(self, algo, dex_rdd, piex_fst, dex_dict):
-        if algo == "naive":
-            out = naive(dex_rdd, piex_fst, dex_dict, 2, semi=False)
-        elif algo == "semi_naive":
-            out = naive(dex_rdd, piex_fst, dex_dict, 2, semi=True)
-        elif algo == "dseq":
-            out = d_seq(dex_rdd, piex_fst, dex_dict, 2)
-        else:
-            out = d_cand(dex_rdd, piex_fst, dex_dict, 2)
+        out = ALGORITHMS[algo](dex_rdd, piex_fst, dex_dict, 2)
         assert count_shuffles(out) == 1
 
 
@@ -209,3 +192,31 @@ class TestFacade:
     def test_mine_sequential_names(self):
         res = mine_sequential(DEX, HIER, PIEX, 2)
         assert {" ".join(p): f for p, f in res.items()} == EXPECTED
+
+
+class TestEdgeInputs:
+    @pytest.mark.parametrize("algo", ["naive", "semi_naive", "dseq", "dcand"])
+    def test_sigma_and_empty_sequences(self, spark, algo):
+        """σ < 1 is rejected, empty sequences are ignored, and σ > |D|
+        finds nothing."""
+        db = DEX + [[], []]
+        df = spark.createDataFrame([(s,) for s in db], "items array<string>")
+        for sigma in (0, -1):
+            with pytest.raises(ValueError):
+                mine(spark, df, HIER, PIEX, sigma, algorithm=algo)
+        got = {r["pattern"]: r["support"]
+               for r in mine(spark, df, HIER, PIEX, 2, algorithm=algo).collect()}
+        assert got == EXPECTED
+        assert mine(spark, df, HIER, PIEX, len(db) + 1, algorithm=algo).count() == 0
+
+    def test_mine_sequential_rejects_sigma_below_one(self):
+        with pytest.raises(ValueError):
+            mine_sequential([["a", "b"]] * 2, {}, "(a) (b)", 0)
+
+    @pytest.mark.parametrize("algo", ["dseq", "dcand"])
+    def test_long_sequences(self, spark, algo):
+        """An output pattern 3 000 items long is mined on executors without
+        hitting the interpreter's recursion limit."""
+        df = spark.createDataFrame([(["a"] * 3000,)] * 2, "items array<string>")
+        out = mine(spark, df, {}, "(a)+", 2, algorithm=algo).collect()
+        assert [(r["pattern"], r["support"]) for r in out] == [(" ".join(["a"] * 3000), 2)]

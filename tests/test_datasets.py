@@ -9,9 +9,9 @@ from repro.datasets import (
     cw_lite_raw,
     nyt_hierarchy,
     nyt_lite_raw,
+    zipf_sequences_raw,
 )
 from repro.hierarchy import Dictionary, ancestor_closure
-from repro.synth_data import zipf_sequences_raw
 
 
 class TestDeterminism:

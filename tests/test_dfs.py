@@ -160,8 +160,11 @@ class TestRandomizedAgreement:
         assert combined == brute_force_mine(fst, db, dex_dict, sigma)
 
 
-class TestMaxPrefixLen:
-    def test_truncates_output(self, piex_fst, dex_dict, dex_encoded):
-        res = mine(wrap(dex_encoded), piex_fst, dex_dict, 2, max_prefix_len=2)
-        named = {dex_dict.decode(c) for c in res}
-        assert named == {("a1", "b")}
+
+def test_long_output_pattern():
+    """Patterns thousands of items long (Table II: max length 21k-44k) are
+    mined without hitting the interpreter's recursion limit."""
+    seqs = [["a"] * 5000] * 2
+    d = Dictionary.build(seqs)
+    res = mine(wrap([d.encode(s) for s in seqs]), compile_patex("(a)+", d), d, 2)
+    assert res == {(d.fid_of["a"],) * 5000: 2}

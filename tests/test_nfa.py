@@ -254,3 +254,9 @@ class TestNfaMining:
         res = mine_nfas([(nfas[c], 1)], sigma=1, pivot=c)
         for s in res:
             assert max(s) == c
+
+    def test_long_chain(self):
+        """A 5 000-state chain NFA is mined without hitting the interpreter's
+        recursion limit."""
+        nfas = build_pivot_nfas(iter([[(1,)] * 5000]), lambda f: {1}, lambda o: o)
+        assert mine_nfas([(nfas[1], 2)], sigma=2, pivot=1) == {(1,) * 5000: 2}
