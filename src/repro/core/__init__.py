@@ -60,7 +60,6 @@ def mine(
     _check_sigma(sigma)
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; use one of {tuple(ALGORITHMS)}")
-    df = framework.with_seq_ids(df, item_col)
     d = dictionary or build_dictionary(spark, df, hierarchy, item_col)
     rdd = framework.encode_rdd(df, d, item_col, num_partitions)
     fst = compile_patex(patex, d)

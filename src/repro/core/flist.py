@@ -1,88 +1,22 @@
 """Spark f-list computation (preprocessing step, paper Sec. II & VII-A).
 
 The f-list — per item, the number of input sequences containing the item or
-any of its descendants — is computed with DataFrame operations so the
-DuckDB oracle can verify it:
-
-1. the hierarchy's reflexive-transitive closure becomes a small
-   ``(item, anc)`` DataFrame (driver-side closure; vocabularies are tiny
-   compared to the data),
-2. sequences are exploded to distinct ``(seq_id, item)`` pairs, joined with
-   the closure, de-duplicated to ``(seq_id, anc)``, and counted per anc.
-
-The result is collected (vocabulary-sized) into a
-:class:`repro.hierarchy.Dictionary`, which is then broadcast to executors
-by the mining jobs. The paper likewise treats f-list construction as a
-one-off preprocessing step and excludes it from run times.
+any of its descendants — has one definition,
+:func:`repro.hierarchy.document_frequencies`. Spark maps it over the
+DataFrame's partitions and the driver sums the per-partition counts: one
+action, no shuffle. The vocabulary-sized result becomes a
+:class:`repro.hierarchy.Dictionary`, which the mining jobs broadcast to
+executors. The paper likewise treats f-list construction as a one-off
+preprocessing step and excludes it from run times.
 """
 from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from repro.hierarchy import Dictionary, ancestor_closure
-
-FLIST_ORACLE_SQL = """
-    SELECT c.anc AS item, COUNT(DISTINCT s.seq_id) AS dfreq
-    FROM exploded s JOIN closure c ON s.item = c.item
-    GROUP BY c.anc
-"""
-
-
-def closure_df(spark: SparkSession, hierarchy: Mapping[str, Sequence[str]],
-               vocab: Optional[Sequence[str]] = None) -> DataFrame:
-    """(item, anc) rows of the reflexive-transitive hierarchy closure.
-
-    ``vocab`` adds items that occur in the data but not in the hierarchy
-    (they close over themselves).
-    """
-    closure = ancestor_closure(dict(hierarchy))
-    rows = [(w, a) for w, ancs in closure.items() for a in sorted(ancs)]
-    for w in vocab or ():
-        if w not in closure:
-            rows.append((w, w))
-    pdf = pd.DataFrame(rows, columns=["item", "anc"])
-    return spark.createDataFrame(pdf)
-
-
-def exploded_df(df: DataFrame, item_col: str = "items") -> DataFrame:
-    """Distinct (seq_id, item) pairs from a sequence DataFrame.
-
-    ``df`` must have a unique ``seq_id`` column and an array column
-    ``item_col``.
-    """
-    return (
-        df.select("seq_id", F.explode(F.col(item_col)).alias("item"))
-        .distinct()
-    )
-
-
-def flist_df(
-    spark: SparkSession,
-    df: DataFrame,
-    hierarchy: Mapping[str, Sequence[str]],
-    item_col: str = "items",
-) -> DataFrame:
-    """(item, dfreq) — document frequency per item, hierarchy-aware."""
-    vocab = [
-        r["item"]
-        for r in df.select(F.explode(F.col(item_col)).alias("item"))
-        .distinct()
-        .collect()
-    ]
-    cdf = closure_df(spark, hierarchy, vocab)
-    edf = exploded_df(df, item_col)
-    return (
-        edf.join(cdf, "item")
-        .select("seq_id", F.col("anc"))
-        .distinct()
-        .groupBy("anc")
-        .agg(F.count("*").alias("dfreq"))
-        .select(F.col("anc").alias("item"), "dfreq")
-    )
+from repro.core.framework import merge_weight_dicts
+from repro.hierarchy import Dictionary, ancestor_closure, document_frequencies
 
 
 def build_dictionary(
@@ -93,8 +27,13 @@ def build_dictionary(
     order: Optional[Sequence[str]] = None,
 ) -> Dictionary:
     """Spark-computed f-list → frequency-ordered :class:`Dictionary`."""
-    freqs = {
-        r["item"]: int(r["dfreq"])
-        for r in flist_df(spark, df, hierarchy, item_col).collect()
-    }
+    closure = ancestor_closure(dict(hierarchy))
+
+    def count_partition(rows):
+        yield document_frequencies((row[0] for row in rows), closure)
+
+    freqs = (
+        df.select(item_col).rdd.mapPartitions(count_partition)
+        .fold({}, merge_weight_dicts)
+    )
     return Dictionary.build([], hierarchy, dfreq=freqs, order=order)

@@ -13,18 +13,10 @@ from typing import Callable, Dict, List, Tuple
 
 from pyspark import RDD
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StringType, StructField, StructType
 
 from repro.hierarchy import Dictionary
 from repro.patex.fst import Fst
-
-
-def with_seq_ids(df: DataFrame, item_col: str = "items") -> DataFrame:
-    """Ensure a unique ``seq_id`` column (stable within the job)."""
-    if "seq_id" in df.columns:
-        return df
-    return df.withColumn("seq_id", F.monotonically_increasing_id())
 
 
 def encode_rdd(

@@ -85,19 +85,6 @@ class Nfa:
         out.discard(())
         return out
 
-    def accepts(self, seq: Sequence[int]) -> bool:
-        states = {0}
-        for w in seq:
-            nxt: Set[int] = set()
-            for s in states:
-                for lab, tgt in self.children[s]:
-                    if w in lab:
-                        nxt.add(tgt)
-            if not nxt:
-                return False
-            states = nxt
-        return any(self.final[s] for s in states)
-
 
 def trie_to_nfa(trie: Trie) -> Nfa:
     children = tuple(
@@ -110,58 +97,32 @@ def minimize(nfa: Nfa) -> Nfa:
     """Merge equivalent states bottom-up (Revuz for acyclic automata).
 
     Two states are equivalent iff they have the same finality and the same
-    set of (label, equivalent-target) edges. Tries (and their merges) are
-    acyclic, so a single bottom-up pass over a reverse-topological order
-    computes the unique minimal partition.
+    (label, equivalent-target) edges. Precondition, which tries (and this
+    function's own output) satisfy: every edge leads to a higher state id,
+    and a state's edges have distinct labels, sorted. One pass from the last
+    state down to state 0 then sees every target before its source and
+    computes the unique minimal partition. Classes are numbered in reverse
+    order of discovery, so the root is state 0 again.
     """
-    n = nfa.n_states
-    # Topological order (children before parents): DFS post-order from root.
-    order: List[int] = []
-    seen = [False] * n
-    stack: List[Tuple[int, bool]] = [(0, False)]
-    while stack:
-        state, processed = stack.pop()
-        if processed:
-            order.append(state)
-            continue
-        if seen[state]:
-            continue
-        seen[state] = True
-        stack.append((state, True))
-        for _lab, tgt in nfa.children[state]:
-            if not seen[tgt]:
-                stack.append((tgt, False))
-
-    rep: Dict[int, int] = {}  # state -> representative id (new numbering later)
-    signature_of: Dict[Tuple, int] = {}
-    for state in order:  # children always processed before parents
+    cls = [0] * nfa.n_states
+    class_of: Dict[Tuple, int] = {}
+    reps: List[int] = []  # the first state found in each class
+    for state in range(nfa.n_states - 1, -1, -1):
         sig = (
             nfa.final[state],
-            frozenset((lab, rep[tgt]) for lab, tgt in nfa.children[state]),
+            tuple((lab, cls[tgt]) for lab, tgt in nfa.children[state]),
         )
-        rep[state] = signature_of.setdefault(sig, state)
-
-    # Rebuild with merged states, renumbered with root first.
-    kept = []
-    kept_set: Set[int] = set()
-    stack2 = [rep[0]]
-    while stack2:
-        s = stack2.pop()
-        if s in kept_set:
-            continue
-        kept_set.add(s)
-        kept.append(s)
-        for _lab, tgt in nfa.children[s]:
-            if rep[tgt] not in kept_set:
-                stack2.append(rep[tgt])
-    kept = [rep[0]] + sorted(x for x in kept if x != rep[0])
-    remap = {s: i for i, s in enumerate(kept)}
+        c = class_of.get(sig)
+        if c is None:
+            c = class_of[sig] = len(reps)
+            reps.append(state)
+        cls[state] = c
+    last = len(reps) - 1
+    reps.reverse()
     children = tuple(
-        tuple(sorted({(lab, remap[rep[tgt]]) for lab, tgt in nfa.children[s]}))
-        for s in kept
+        tuple((lab, last - cls[tgt]) for lab, tgt in nfa.children[s]) for s in reps
     )
-    final = tuple(nfa.final[s] for s in kept)
-    return Nfa(children, final)
+    return Nfa(children, tuple(nfa.final[s] for s in reps))
 
 
 def serialize(nfa: Nfa) -> Tuple[int, ...]:

@@ -17,7 +17,7 @@ from pyspark.sql import SparkSession
 
 from repro import datasets
 from repro.core.flist import build_dictionary
-from repro.core.framework import encode_rdd, with_seq_ids
+from repro.core.framework import encode_rdd
 from repro.desq.simulate import CandidateLimitExceeded, generate
 from repro.experiments.constraints import (
     Constraint,
@@ -38,10 +38,8 @@ def candidate_stats(
     cap: int = 100_000,
 ) -> Dict:
     seqs, hierarchy = datasets.DATASETS[c.dataset](n, seed)
-    df = with_seq_ids(
-        spark.createDataFrame(
-            [(i, s) for i, s in enumerate(seqs)], "seq_id long, items array<string>"
-        )
+    df = spark.createDataFrame(
+        [(i, s) for i, s in enumerate(seqs)], "seq_id long, items array<string>"
     )
     d = build_dictionary(spark, df, hierarchy)
     fst = compile_patex(c.expr, d)

@@ -23,7 +23,6 @@ from pyspark.sql import SparkSession
 from repro import datasets
 from repro.core import mine, mine_sequential
 from repro.core.flist import build_dictionary
-from repro.core.framework import with_seq_ids
 from repro.experiments.constraints import Constraint, N_EXPRS, t2_expr, t3_expr
 
 # Per-dataset corpus sizes. The bench sizes are chosen so that sequential
@@ -62,10 +61,8 @@ def configs(scale: str) -> List[Constraint]:
 
 def run_config(spark: SparkSession, c: Constraint, n: int, seed: int = 17) -> Dict:
     seqs, hierarchy = datasets.load(c.dataset, n, seed)
-    df = with_seq_ids(
-        spark.createDataFrame(
-            [(i, s) for i, s in enumerate(seqs)], "seq_id long, items array<string>"
-        )
+    df = spark.createDataFrame(
+        [(i, s) for i, s in enumerate(seqs)], "seq_id long, items array<string>"
     ).cache()
     df.count()
     # The dictionary is preprocessing in the paper; build it once, outside

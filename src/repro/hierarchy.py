@@ -87,6 +87,9 @@ def document_frequencies(
     Implemented by expanding each sequence to the distinct union of the
     ancestor sets of its items (so ancestors are counted whenever any
     descendant occurs, cf. Fig. 2c: f(A) = 4 for the running example).
+    This is the f-list's only definition: :meth:`Dictionary.build` calls it
+    on the driver and :func:`repro.core.flist.build_dictionary` per Spark
+    partition, summing the partitions' counts.
     """
     freq: Dict[str, int] = {w: 0 for w in closure}
     for seq in sequences:

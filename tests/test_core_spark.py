@@ -5,17 +5,11 @@ import random
 import pandas as pd
 import pytest
 
-from repro import oracle
+from repro import datasets, oracle
 from repro.core import ALGORITHMS, mine, mine_sequential
-from repro.core.flist import (
-    FLIST_ORACLE_SQL,
-    build_dictionary,
-    closure_df,
-    exploded_df,
-    flist_df,
-)
+from repro.core.flist import build_dictionary
 from repro.core.framework import count_shuffles, encode_rdd
-from repro.hierarchy import Dictionary
+from repro.hierarchy import Dictionary, ancestor_closure
 from repro.patex import compile_patex
 from tests.conftest import DEX, HIER, PAPER_ORDER, PIEX
 
@@ -34,21 +28,46 @@ def dex_rdd(spark, dex_df, dex_dict):
     return encode_rdd(dex_df, dex_dict).cache()
 
 
+# The f-list as SQL over (seq_id, item) and (item, anc) tables: the
+# independent definition DuckDB checks the Spark f-list against.
+FLIST_ORACLE_SQL = """
+    SELECT c.anc AS item, COUNT(DISTINCT s.seq_id) AS dfreq
+    FROM exploded s JOIN closure c ON s.item = c.item
+    GROUP BY c.anc
+"""
+
+
+def dictionary_freqs(d):
+    return dict(zip(d.names, d.dfreq))
+
+
 class TestFlist:
     def test_flist_matches_paper(self, spark, dex_df):
-        rows = {
-            r["item"]: r["dfreq"]
-            for r in flist_df(spark, dex_df, HIER).collect()
+        assert dictionary_freqs(build_dictionary(spark, dex_df, HIER)) == {
+            "b": 5, "A": 4, "d": 3, "a1": 3, "c": 2, "e": 1, "a2": 1,
         }
-        assert rows == {"b": 5, "A": 4, "d": 3, "a1": 3, "c": 2, "e": 1, "a2": 1}
 
     def test_flist_oracle(self, spark, dex_df):
-        """DuckDB verifies the Spark f-list aggregation."""
-        vocab = sorted({t for s in DEX for t in s})
-        cdf = closure_df(spark, HIER, vocab)
-        edf = exploded_df(dex_df)
-        got = flist_df(spark, dex_df, HIER)
-        oracle.assert_equivalent(got, FLIST_ORACLE_SQL, exploded=edf, closure=cdf)
+        """DuckDB verifies the Spark f-list against the SQL definition."""
+        exploded = pd.DataFrame(
+            sorted({(i, t) for i, s in enumerate(DEX) for t in s}),
+            columns=["seq_id", "item"],
+        )
+        closure = ancestor_closure(HIER)
+        closure_rows = [(w, a) for w, ancs in closure.items() for a in ancs]
+        closure_rows += [(t, t) for t in set(exploded["item"]) - set(closure)]
+        freqs = dictionary_freqs(build_dictionary(spark, dex_df, HIER))
+        got = spark.createDataFrame(
+            pd.DataFrame(
+                [(w, f) for w, f in freqs.items() if f], columns=["item", "dfreq"]
+            )
+        )
+        oracle.assert_equivalent(
+            got,
+            FLIST_ORACLE_SQL,
+            exploded=exploded,
+            closure=pd.DataFrame(closure_rows, columns=["item", "anc"]),
+        )
 
     def test_build_dictionary_spark(self, spark, dex_df, dex_dict):
         d = build_dictionary(spark, dex_df, HIER, order=PAPER_ORDER)
@@ -62,6 +81,34 @@ class TestFlist:
         d = build_dictionary(spark, df, {"x": ["p"], "q": ["p"]})
         assert d.freq(d.fid_of["q"]) == 0
         assert d.freq(d.fid_of["p"]) == 1
+
+    def test_empty_dataframe(self, spark):
+        """No rows and no partitions: the hierarchy items get 0."""
+        df = spark.createDataFrame(spark.sparkContext.emptyRDD(), "items array<string>")
+        d = build_dictionary(spark, df, {"x": ["p"], "q": ["p"]})
+        assert dictionary_freqs(d) == {"p": 0, "q": 0, "x": 0}
+
+    @pytest.mark.parametrize("name", sorted(datasets.DATASETS))
+    def test_matches_driver_dictionary(self, spark, name):
+        """The partition-wise Spark f-list equals the driver's on every
+        corpus. Each parent's count is also checked against a brute-force
+        count of the sequences holding one of its descendants: AMZN-lite's
+        products with two subcategories in one department must add that
+        department once per sequence."""
+        seqs, hierarchy = datasets.DATASETS[name](150, 17)
+        df = spark.createDataFrame(
+            spark.sparkContext.parallelize([(s,) for s in seqs], 3),
+            "items array<string>",
+        )
+        d = build_dictionary(spark, df, hierarchy)
+        want = Dictionary.build(seqs, hierarchy)
+        assert (d.names, d.dfreq, d.anc) == (want.names, want.dfreq, want.anc)
+        encoded = [set(d.encode(s)) for s in seqs]
+        for parent in {p for ps in hierarchy.values() for p in ps}:
+            w = d.fid_of[parent]
+            assert d.freq(w) == sum(
+                any(d.is_descendant(t, w) for t in s) for s in encoded
+            ), parent
 
 
 def run_algorithm(algo, rdd, fst, d, sigma, **kw):

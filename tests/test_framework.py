@@ -5,7 +5,6 @@ from repro.core.framework import (
     encode_rdd,
     merge_weight_dicts,
     results_to_df,
-    with_seq_ids,
 )
 from repro.hierarchy import Dictionary
 
@@ -26,18 +25,6 @@ class TestMergeWeightDicts:
 
 
 class TestSparkPlumbing:
-    def test_with_seq_ids_adds_unique_column(self, spark):
-        df = spark.createDataFrame(pd.DataFrame({"items": [["a"], ["b"]]}))
-        out = with_seq_ids(df)
-        ids = [r["seq_id"] for r in out.collect()]
-        assert len(set(ids)) == 2
-
-    def test_with_seq_ids_keeps_existing(self, spark):
-        df = spark.createDataFrame(
-            pd.DataFrame({"seq_id": [7, 8], "items": [["a"], ["b"]]})
-        )
-        assert sorted(r["seq_id"] for r in with_seq_ids(df).collect()) == [7, 8]
-
     def test_encode_rdd_roundtrip(self, spark):
         d = Dictionary.build([["x", "y"]], {})
         df = spark.createDataFrame(

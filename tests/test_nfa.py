@@ -41,6 +41,21 @@ def nfas_for(fst, T, d, sigma):
     return build_pivot_nfas(runs(), pivots_of_run, sigma_filter)
 
 
+def right_languages(nfa):
+    """Per state, the item sequences that lead from it to a final state."""
+    memo = {}
+
+    def lang(q):
+        if q not in memo:
+            words = {()} if nfa.final[q] else set()
+            for lab, tgt in nfa.children[q]:
+                words |= {(w,) + rest for w in lab for rest in lang(tgt)}
+            memo[q] = frozenset(words)
+        return memo[q]
+
+    return [lang(q) for q in range(nfa.n_states)]
+
+
 class TestTrieAndMinimize:
     def test_fig7_trie_size(self, piex_fst, dex_dict, dex_encoded):
         """Fig. 7b: the trie for ρc(T1) has 13 vertices and 12 edges."""
@@ -170,6 +185,10 @@ class TestSerialization:
         for labels in runs:
             trie.insert([tuple(sorted(l)) for l in labels])
         nfa = minimize(trie_to_nfa(trie))
+        assert nfa.language() == trie_to_nfa(trie).language()
+        # Minimal: no two states accept the same right language.
+        langs = right_languages(nfa)
+        assert len(set(langs)) == len(langs)
         back = deserialize(serialize(nfa))
         assert back.language() == nfa.language()
 
