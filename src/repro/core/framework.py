@@ -22,9 +22,17 @@ from repro.patex.fst import Fst
 def encode_rdd(
     df: DataFrame, d: Dictionary, item_col: str = "items", num_partitions: int = 0
 ) -> RDD:
-    """DataFrame of string-array sequences → RDD of fid tuples."""
+    """DataFrame of string-array sequences → RDD of fid tuples. Encoding
+    raises ValueError for an item that ``d`` lacks."""
     fid_of = d.fid_of
-    rdd = df.select(item_col).rdd.map(lambda row: tuple(fid_of[t] for t in row[0]))
+
+    def encode(row):
+        try:
+            return tuple(fid_of[t] for t in row[0])
+        except KeyError as e:
+            raise ValueError(f"item {e.args[0]!r} is not in the dictionary") from None
+
+    rdd = df.select(item_col).rdd.map(encode)
     if num_partitions:
         rdd = rdd.repartition(num_partitions)
     return rdd

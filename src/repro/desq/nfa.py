@@ -15,13 +15,15 @@ the candidate subsequences as a finite language accepted by an NFA:
   already visited; a "final" marker when the target is final and new.
   States are numbered in DFS visit order, so the decoder can reconstruct
   ids without them being written.
-* **Mining** — `mine_nfas` counts candidate frequencies over weighted NFAs
-  with a pattern-growth expansion operating directly on the NFAs.
+* **Mining** — `mine_nfas` counts candidate frequencies directly on the
+  weighted NFAs with DESQ-DFS's pattern-growth loop, `repro.desq.dfs.grow`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+from repro.desq.dfs import grow
 
 Label = Tuple[int, ...]  # an output set, ascending item fids
 
@@ -68,6 +70,10 @@ class Nfa:
     @property
     def n_edges(self) -> int:
         return sum(len(c) for c in self.children)
+
+    def moves(self, state: int) -> Tuple[bool, Tuple[Tuple[Label, int], ...]]:
+        """``(final, [(label, target)])``: the automaton as ``dfs.grow`` reads it."""
+        return self.final[state], self.children[state]
 
     def language(self, limit: Optional[int] = None) -> Set[Tuple[int, ...]]:
         """All accepted item sequences (Cartesian products along paths)."""
@@ -246,35 +252,7 @@ def mine_nfas(
 
     Each NFA encodes the candidate set of one input sequence (for this
     pivot); identical NFAs arrive pre-aggregated with a weight. A candidate
-    counts once per NFA regardless of how many paths accept it, so the
-    pattern-growth expansion tracks *sets* of states per NFA.
+    counts once per NFA regardless of how many paths accept it; DESQ-DFS's
+    loop :func:`repro.desq.dfs.grow` mines the NFAs from state 0.
     """
-    results: Dict[Tuple[int, ...], int] = {}
-    # Projected database: list of (nfa_idx, frozenset-of-states). Pre-order
-    # DFS with an explicit stack, children pushed in descending item order.
-    stack = [((), [(i, frozenset({0})) for i in range(len(weighted))])]
-    while stack:
-        prefix, projected = stack.pop()
-        support = sum(weighted[i][1] for i, _ in projected)
-        if support < sigma:
-            continue
-        if prefix and max(prefix) == pivot:
-            acc = sum(
-                weighted[i][1]
-                for i, states in projected
-                if any(weighted[i][0].final[s] for s in states)
-            )
-            if acc >= sigma:
-                results[prefix] = acc
-        by_item: Dict[int, List[Tuple[int, FrozenSet[int]]]] = {}
-        for i, states in projected:
-            nfa = weighted[i][0]
-            moves: Dict[int, Set[int]] = {}
-            for s in states:
-                for lab, tgt in nfa.children[s]:
-                    for w in lab:
-                        moves.setdefault(w, set()).add(tgt)
-            for w, tgts in moves.items():
-                by_item.setdefault(w, []).append((i, frozenset(tgts)))
-        stack.extend((prefix + (w,), by_item[w]) for w in sorted(by_item, reverse=True))
-    return results
+    return grow([(w, nfa.moves, 0) for nfa, w in weighted], sigma, pivot)

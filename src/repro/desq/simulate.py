@@ -20,7 +20,13 @@ from repro.patex.fst import Fst, Step
 
 
 class CandidateLimitExceeded(RuntimeError):
-    """Raised when candidate enumeration exceeds ``max_candidates``."""
+    """Raised when run or candidate enumeration exceeds its limit."""
+
+
+def _limit_exceeded(what: str, T: Sequence[int], d: Dictionary) -> CandidateLimitExceeded:
+    """The error for ``T``, named by its length and first items."""
+    head = " ".join(d.decode(T[:5])) + (" ..." if len(T) > 5 else "")
+    return CandidateLimitExceeded(f"more than {what} for the sequence of {len(T)} items [{head}]")
 
 
 def acceptance_table(fst: Fst, T: Sequence[int], d: Dictionary) -> List[int]:
@@ -67,7 +73,7 @@ def accepting_runs(
         if i == n:
             count += 1
             if max_runs is not None and count > max_runs:
-                raise CandidateLimitExceeded(f"more than {max_runs} accepting runs")
+                raise _limit_exceeded(f"{max_runs} accepting runs", T, d)
             yield run
             continue
         nxt = alive[i + 1]
@@ -119,9 +125,7 @@ def generate(
             if cand:
                 cands.add(cand)
                 if max_candidates is not None and len(cands) > max_candidates:
-                    raise CandidateLimitExceeded(
-                        f"more than {max_candidates} candidates for one sequence"
-                    )
+                    raise _limit_exceeded(f"{max_candidates} candidates", T, d)
     return cands
 
 

@@ -227,8 +227,3 @@ class Dictionary:
 
     def decode_str(self, fids: Sequence[int]) -> str:
         return " ".join(self.decode(fids))
-
-
-def pivot(seq: Sequence[int]) -> int:
-    """Pivot item of an encoded subsequence: its maximum fid (Sec. III-B)."""
-    return max(seq)

@@ -9,7 +9,7 @@ import pytest
 from repro.hierarchy import Dictionary
 from repro.patex import compile_patex
 from repro.patex.compiler import CompileError
-from repro.desq.simulate import CandidateLimitExceeded, generate, matches
+from repro.desq.simulate import CandidateLimitExceeded, accepting_runs, generate, matches
 
 DEX = [
     ["a1", "c", "d", "c", "b"],
@@ -182,9 +182,15 @@ class TestGuards:
             compile_patex("(zzz)", d)
 
     def test_max_candidates_guard(self, d):
+        """Both limits fail with an error naming the sequence: its length
+        and first items, decoded."""
         fst = compile_patex("[(.^)|.]{7}", d)
-        with pytest.raises(CandidateLimitExceeded):
-            generate(fst, d.encode(["a1"] * 7), d, max_candidates=5)
+        T = d.encode(["a1"] * 6 + ["b"])
+        named = r"the sequence of 7 items \[a1 a1 a1 a1 a1 \.\.\.\]"
+        with pytest.raises(CandidateLimitExceeded, match="more than 5 candidates for " + named):
+            generate(fst, T, d, max_candidates=5)
+        with pytest.raises(CandidateLimitExceeded, match="more than 5 accepting runs for " + named):
+            list(accepting_runs(fst, T, d, max_runs=5))
 
     def test_fst_is_picklable(self, d):
         import pickle

@@ -4,6 +4,7 @@ import random
 
 import pandas as pd
 import pytest
+from py4j.protocol import Py4JJavaError
 
 from repro import datasets, oracle
 from repro.core import ALGORITHMS, mine, mine_sequential
@@ -255,6 +256,14 @@ class TestEdgeInputs:
                for r in mine(spark, df, HIER, PIEX, 2, algorithm=algo).collect()}
         assert got == EXPECTED
         assert mine(spark, df, HIER, PIEX, len(db) + 1, algorithm=algo).count() == 0
+
+    def test_unknown_item_is_named(self, spark, dex_dict):
+        """An item that the supplied Dictionary lacks fails the encoding with
+        a ValueError that names the item (raised on an executor, so the
+        driver sees it inside Spark's job failure)."""
+        df = spark.createDataFrame([(DEX[0] + ["zzz"],)] * 2, "items array<string>")
+        with pytest.raises(Py4JJavaError, match="ValueError: item 'zzz' is not in the dictionary"):
+            mine(spark, df, HIER, PIEX, 2, dictionary=dex_dict)
 
     def test_mine_sequential_rejects_sigma_below_one(self):
         with pytest.raises(ValueError):

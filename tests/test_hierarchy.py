@@ -7,7 +7,6 @@ from repro.hierarchy import (
     HierarchyError,
     ancestor_closure,
     document_frequencies,
-    pivot,
 )
 
 # Paper running example (Fig. 2): Dex, hierarchy a1,a2 → A, item freqs.
@@ -149,10 +148,13 @@ class TestDictionary:
 
 
 class TestPivot:
+    """The pivot of an encoded subsequence is its maximum fid (Sec. III-B):
+    the least frequent item."""
+
     def test_pivot_is_max_fid(self, dex_dict):
         enc = dex_dict.encode(["a1", "A", "b"])
-        assert pivot(enc) == dex_dict.fid_of["a1"]
+        assert max(enc) == dex_dict.fid_of["a1"]
 
     def test_epsilon_below_items(self):
         assert EPSILON == 0
-        assert pivot((EPSILON, 3)) == 3
+        assert max((EPSILON, 3)) == 3

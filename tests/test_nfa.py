@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.hierarchy import EPSILON
 from repro.patex import compile_patex
@@ -41,15 +41,38 @@ def nfas_for(fst, T, d, sigma):
     return build_pivot_nfas(runs(), pivots_of_run, sigma_filter)
 
 
+# Runs of a trie: each a list of output sets (the labels of its path).
+RUNS = st.lists(
+    st.lists(
+        st.frozensets(st.integers(1, 5), min_size=1, max_size=3),
+        min_size=1,
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def trie_of(runs):
+    trie = Trie()
+    for labels in runs:
+        trie.insert([tuple(sorted(l)) for l in labels])
+    return trie
+
+
 def right_languages(nfa):
-    """Per state, the item sequences that lead from it to a final state."""
+    """Per state, the label sequences that lead from it to a final state.
+
+    Labels, not items: minimisation merges states with equal (label,
+    target) edges, so two states whose item languages agree only through
+    different labels (``{1,3}`` vs. ``{1}`` and ``{3}``) stay apart."""
     memo = {}
 
     def lang(q):
         if q not in memo:
             words = {()} if nfa.final[q] else set()
             for lab, tgt in nfa.children[q]:
-                words |= {(w,) + rest for w in lab for rest in lang(tgt)}
+                words |= {(lab,) + rest for rest in lang(tgt)}
             memo[q] = frozenset(words)
         return memo[q]
 
@@ -168,25 +191,15 @@ class TestSerialization:
         assert n2.language() == n5.language()
         assert serialize(n2) == serialize(n5)
 
-    @given(
-        st.lists(
-            st.lists(
-                st.frozensets(st.integers(1, 5), min_size=1, max_size=3),
-                min_size=1,
-                max_size=4,
-            ),
-            min_size=1,
-            max_size=6,
-        )
-    )
+    @given(RUNS)
+    @example([[frozenset({1}), frozenset({1, 3})], [frozenset({3}), frozenset({1})],
+              [frozenset({3}), frozenset({3})]])
     @settings(max_examples=100, deadline=None)
     def test_roundtrip_random_tries(self, runs):
-        trie = Trie()
-        for labels in runs:
-            trie.insert([tuple(sorted(l)) for l in labels])
+        trie = trie_of(runs)
         nfa = minimize(trie_to_nfa(trie))
         assert nfa.language() == trie_to_nfa(trie).language()
-        # Minimal: no two states accept the same right language.
+        # Minimal: no two states accept the same label language.
         langs = right_languages(nfa)
         assert len(set(langs)) == len(langs)
         back = deserialize(serialize(nfa))
@@ -273,6 +286,21 @@ class TestNfaMining:
         res = mine_nfas([(nfas[c], 1)], sigma=1, pivot=c)
         for s in res:
             assert max(s) == c
+
+    @given(st.lists(st.tuples(RUNS, st.integers(1, 3)), min_size=1, max_size=4),
+           st.integers(1, 6), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_language_count(self, weighted_runs, sigma, pivot):
+        """Random weighted NFAs against a brute-force count over their
+        languages: weights summed, each NFA counted once, support ≥ σ and
+        maximum item = pivot."""
+        weighted = [(minimize(trie_to_nfa(trie_of(runs))), w) for runs, w in weighted_runs]
+        counts = {}
+        for nfa, w in weighted:
+            for s in nfa.language():
+                counts[s] = counts.get(s, 0) + w
+        want = {s: f for s, f in counts.items() if f >= sigma and max(s) == pivot}
+        assert mine_nfas(weighted, sigma, pivot) == want
 
     def test_long_chain(self):
         """A 5 000-state chain NFA is mined without hitting the interpreter's
