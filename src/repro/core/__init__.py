@@ -46,24 +46,22 @@ def mine(
     algorithm: str = "dseq",
     item_col: str = "items",
     dictionary: Optional[Dictionary] = None,
-    num_partitions: int = 0,
-    **options,
 ) -> DataFrame:
     """Mine frequent subsequences of ``df[item_col]`` under ``patex``/σ.
 
-    ``options`` are forwarded to the chosen algorithm (e.g. ``use_grid``,
-    ``rewrite``, ``early_stop`` for D-SEQ; ``aggregate``, ``minimize_nfas``,
-    ``max_runs`` for D-CAND; ``max_candidates`` for the naïve methods).
-    Returns a DataFrame with columns ``pattern`` (space-joined item names)
-    and ``support``. Raises ValueError for σ < 1 or an unknown algorithm.
+    Each algorithm runs the paper's configuration (D-SEQ with grid, rewrite
+    and early stopping; D-CAND with minimised, aggregated NFAs). Returns a
+    DataFrame with columns ``pattern`` (space-joined item names) and
+    ``support``. Raises ValueError for σ < 1, an unknown algorithm, or an
+    item that ``dictionary`` lacks.
     """
     _check_sigma(sigma)
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; use one of {tuple(ALGORITHMS)}")
     d = dictionary or build_dictionary(spark, df, hierarchy, item_col)
-    rdd = framework.encode_rdd(df, d, item_col, num_partitions)
+    rdd = framework.encode_rdd(df, d, item_col)
     fst = compile_patex(patex, d)
-    result = ALGORITHMS[algorithm](rdd, fst, d, sigma, **options)
+    result = ALGORITHMS[algorithm](rdd, fst, d, sigma)
     return framework.results_to_df(spark, result.collect(), d)
 
 
@@ -76,7 +74,7 @@ def mine_sequential(
     dictionary: Optional[Dictionary] = None,
 ) -> Dict[Tuple[str, ...], int]:
     """Sequential DESQ-DFS over in-memory sequences (Table V baseline).
-    Raises ValueError for σ < 1."""
+    Raises ValueError for σ < 1 or an item that ``dictionary`` lacks."""
     _check_sigma(sigma)
     d = dictionary or Dictionary.build(sequences, hierarchy)
     fst = compile_patex(patex, d)

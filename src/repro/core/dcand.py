@@ -11,7 +11,8 @@ Map (per input sequence T):
 
 Shuffle: the skeleton's ``combineByKey`` aggregates identical NFAs into
 weights map-side — the paper's combine function; the serialized form is a
-hashable int tuple precisely so this aggregation is a dict update.
+hashable int tuple precisely so this aggregation is a dict update. NFAs are
+always minimised and aggregated; the Fig. 10b ablations are not offered.
 
 Reduce (per partition Pk): deserialize the weighted NFAs and count
 candidate frequencies directly on them with the NFA pattern-growth counter
@@ -41,15 +42,9 @@ def d_cand(
     d: Dictionary,
     sigma: int,
     *,
-    aggregate: bool = True,
-    minimize_nfas: bool = True,
     max_runs: Optional[int] = 1_000_000,
 ) -> RDD:
-    """RDD of fid tuples → RDD of (subsequence, frequency), frequency ≥ σ.
-
-    ``aggregate=False`` is the Fig. 10b "no agg" ablation: every NFA is
-    shipped individually and only counted by the reducer.
-    """
+    """RDD of fid tuples → RDD of (subsequence, frequency), frequency ≥ σ."""
 
     def map_fn(fst_, d_, T):
         mask = d_.frequent_mask(sigma)
@@ -67,13 +62,11 @@ def d_cand(
         def sigma_filter(out):
             return tuple(w for w in out if mask >> w & 1)
 
-        nfas = build_pivot_nfas(
-            runs(), pivots_of_run, sigma_filter, minimize_nfas=minimize_nfas
-        )
+        nfas = build_pivot_nfas(runs(), pivots_of_run, sigma_filter)
         return [(k, serialize(nfa)) for k, nfa in nfas.items()]
 
     def reduce_fn(fst_, d_, k, weights):
         inputs = [(deserialize(payload), w) for payload, w in weights.items()]
         return list(mine_nfas(inputs, sigma, pivot=k).items())
 
-    return one_round(seq_rdd, fst, d, map_fn, reduce_fn, combine=aggregate)
+    return one_round(seq_rdd, fst, d, map_fn, reduce_fn)

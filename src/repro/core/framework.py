@@ -8,7 +8,6 @@ DataFrames, and counting shuffles in an RDD lineage.
 """
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, Dict, List, Tuple
 
 from pyspark import RDD
@@ -19,23 +18,10 @@ from repro.hierarchy import Dictionary
 from repro.patex.fst import Fst
 
 
-def encode_rdd(
-    df: DataFrame, d: Dictionary, item_col: str = "items", num_partitions: int = 0
-) -> RDD:
-    """DataFrame of string-array sequences → RDD of fid tuples. Encoding
-    raises ValueError for an item that ``d`` lacks."""
-    fid_of = d.fid_of
-
-    def encode(row):
-        try:
-            return tuple(fid_of[t] for t in row[0])
-        except KeyError as e:
-            raise ValueError(f"item {e.args[0]!r} is not in the dictionary") from None
-
-    rdd = df.select(item_col).rdd.map(encode)
-    if num_partitions:
-        rdd = rdd.repartition(num_partitions)
-    return rdd
+def encode_rdd(df: DataFrame, d: Dictionary, item_col: str = "items") -> RDD:
+    """DataFrame of string-array sequences → RDD of fid tuples
+    (:meth:`Dictionary.encode`, so an unknown item raises ValueError)."""
+    return df.select(item_col).rdd.map(lambda row: d.encode(row[0]))
 
 
 def results_to_df(
@@ -80,17 +66,12 @@ def one_round(
     d: Dictionary,
     map_fn: Callable,
     reduce_fn: Callable,
-    *,
-    combine: bool = True,
 ) -> RDD:
     """Alg. 1: ``map_fn(fst, d, T)`` yields ``(key, rep)`` pairs for each
     sequence T; one shuffle groups them by key; ``reduce_fn(fst, d, key,
     {rep: weight})`` yields ``(subsequence, frequency)`` pairs. ``(fst, d)``
-    is broadcast once for both phases.
-
-    With ``combine`` (the default) identical reps are merged into weights
-    map-side by ``combineByKey``, the paper's combine function; without it
-    (Fig. 10b "no agg") every rep is shipped and counted by the reducer.
+    is broadcast once for both phases. Identical reps are merged into
+    weights map-side by ``combineByKey``, the paper's combine function.
     """
     bc = seq_rdd.context.broadcast((fst, d))
 
@@ -100,11 +81,7 @@ def one_round(
     def reduce_phase(kv):
         return reduce_fn(*bc.value, *kv)
 
-    mapped = seq_rdd.flatMap(map_phase)
-    if combine:
-        partitions = mapped.combineByKey(
-            lambda rep: {rep: 1}, _add_rep, merge_weight_dicts
-        )
-    else:
-        partitions = mapped.groupByKey().mapValues(Counter)
+    partitions = seq_rdd.flatMap(map_phase).combineByKey(
+        lambda rep: {rep: 1}, _add_rep, merge_weight_dicts
+    )
     return partitions.flatMap(reduce_phase)

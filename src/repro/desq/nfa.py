@@ -210,9 +210,8 @@ def build_pivot_nfas(
     runs_output_sets: Iterator[List[Label]],
     pivots_of_run,
     sigma_filter,
-    minimize_nfas: bool = True,
 ) -> Dict[int, Nfa]:
-    """Build one NFA per pivot from an iterator of runs' output sets.
+    """Build one minimised NFA per pivot from an iterator of runs' output sets.
 
     ``pivots_of_run(outs)`` returns the pivot items K(r) of a run;
     ``sigma_filter(out)`` maps an output set to its σ-filtered version
@@ -236,11 +235,7 @@ def build_pivot_nfas(
             labels = [tuple(w for w in out if w <= k) for out in filtered]
             # k ∈ K(r) guarantees every set retains an item ≤ k.
             tries.setdefault(k, Trie()).insert(labels)
-    nfas: Dict[int, Nfa] = {}
-    for k, trie in tries.items():
-        nfa = trie_to_nfa(trie)
-        nfas[k] = minimize(nfa) if minimize_nfas else nfa
-    return nfas
+    return {k: minimize(trie_to_nfa(trie)) for k, trie in tries.items()}
 
 
 def mine_nfas(

@@ -39,15 +39,14 @@ def pivot_representations(
     d: Dictionary,
     sigma: int,
     *,
-    rewrite: bool = True,
     grid: Optional[Grid] = None,
 ) -> Dict[int, Tuple[Tuple[int, ...], int]]:
     """Per pivot k of T: ``(ρk(T), last_pivot_pos)``.
 
-    ``ρk(T)`` is the trimmed sequence (T itself when ``rewrite=False``) and
-    ``last_pivot_pos`` the 0-based index *within ρk(T)* of the last position
-    that can still output k on a k-capable accepting run (-1 if unknown).
-    Returns an empty dict when T generates no σ-filtered candidates.
+    ``ρk(T)`` is the trimmed sequence and ``last_pivot_pos`` the 0-based
+    index *within ρk(T)* of the last position that can still output k on a
+    k-capable accepting run. Returns an empty dict when T generates no
+    σ-filtered candidates.
     """
     T = tuple(T)
     if grid is None:
@@ -98,14 +97,8 @@ def pivot_representations(
                 for k in bit_items(new):
                     into[k] = i
 
-    reps: Dict[int, Tuple[Tuple[int, ...], int]] = {}
-    for k, first in first_rel.items():
-        last = last_rel[k]
-        if rewrite:
-            rho = T[first - 1 : last]
-            lp = last_piv.get(k, first) - first  # 0-based within rho
-        else:
-            rho = T
-            lp = last_piv.get(k, last) - 1
-        reps[k] = (rho, lp)
-    return reps
+    # Every pivot k is output by some position, so last_piv[k] exists.
+    return {
+        k: (T[first - 1 : last_rel[k]], last_piv[k] - first)
+        for k, first in first_rel.items()
+    }

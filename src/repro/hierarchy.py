@@ -13,8 +13,8 @@ occurs), and the frequency-ordered integer encoding:
 * fid ``0`` is reserved for the empty output ε and sorts below every item;
 * fids ``1..|Σ|`` are assigned by decreasing document frequency (ties broken
   by name, or by an explicit ``order`` for tests that pin the paper's order);
-* consequently ``pivot(S) = max(S)`` and the frequent items form the prefix
-  ``1..fmax(sigma)``.
+* consequently ``pivot(S) = max(S)`` and, for any σ, the frequent items
+  form a prefix of the fids (:meth:`Dictionary.frequent_mask`).
 """
 from __future__ import annotations
 
@@ -190,19 +190,6 @@ class Dictionary:
         return of in self._anc_sets[fid - 1]
 
     # -- frequency order ------------------------------------------------
-    def fmax(self, sigma: int) -> int:
-        """Largest frequent fid: items ``1..fmax`` have f ≥ sigma.
-
-        Frequencies are non-increasing in fid by construction *unless* an
-        explicit test order was pinned; we therefore scan, returning the
-        largest fid with ``dfreq ≥ sigma`` (0 if none).
-        """
-        last = 0
-        for i, f in enumerate(self.dfreq):
-            if f >= sigma:
-                last = i + 1
-        return last
-
     def is_frequent(self, fid: int, sigma: int) -> bool:
         return self.dfreq[fid - 1] >= sigma
 
@@ -220,7 +207,12 @@ class Dictionary:
 
     # -- encoding -------------------------------------------------------
     def encode(self, seq: Sequence[str]) -> Tuple[int, ...]:
-        return tuple(self.fid_of[t] for t in seq)
+        """Item names → fids; raises ValueError naming an unknown item."""
+        fid_of = self.fid_of
+        try:
+            return tuple(fid_of[t] for t in seq)
+        except KeyError as e:
+            raise ValueError(f"item {e.args[0]!r} is not in the dictionary") from None
 
     def decode(self, fids: Sequence[int]) -> Tuple[str, ...]:
         return tuple(self.names[f - 1] for f in fids)

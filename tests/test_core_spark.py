@@ -4,6 +4,7 @@ import random
 
 import pandas as pd
 import pytest
+from hypothesis import given, settings, strategies as st
 from py4j.protocol import Py4JJavaError
 
 from repro import datasets, oracle
@@ -13,6 +14,7 @@ from repro.core.framework import count_shuffles, encode_rdd
 from repro.hierarchy import Dictionary, ancestor_closure
 from repro.patex import compile_patex
 from tests.conftest import DEX, HIER, PAPER_ORDER, PIEX
+from tests.test_generated import PATTERNS
 
 EXPECTED = {"a1 a1 b": 2, "a1 A b": 2, "a1 b": 3}
 
@@ -140,38 +142,32 @@ class TestOneShuffle:
         assert count_shuffles(out) == 1
 
 
-class TestDseqAblations:
-    """Fig. 10a: each component can be disabled without changing results."""
-
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            dict(use_grid=False, rewrite=False, early_stop=False),
-            dict(rewrite=False, early_stop=False),
-            dict(early_stop=False),
-            dict(),
-        ],
-    )
-    def test_same_result(self, kw, dex_rdd, piex_fst, dex_dict):
-        assert run_algorithm("dseq", dex_rdd, piex_fst, dex_dict, 2, **kw) == EXPECTED
-
-
-class TestDcandAblations:
-    """Fig. 10b: aggregation and minimization are performance-only."""
-
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            dict(aggregate=False, minimize_nfas=False),
-            dict(minimize_nfas=False),
-            dict(),
-        ],
-    )
-    def test_same_result(self, kw, dex_rdd, piex_fst, dex_dict):
-        assert run_algorithm("dcand", dex_rdd, piex_fst, dex_dict, 2, **kw) == EXPECTED
+@pytest.fixture(scope="module")
+def random_db(spark):
+    """60 random sequences over the running example's items, with their
+    Dictionary and encoded RDD."""
+    rng = random.Random(5)
+    db = [
+        [rng.choice(PAPER_ORDER) for _ in range(rng.randint(1, 8))]
+        for _ in range(60)
+    ]
+    d = Dictionary.build(db, HIER)
+    df = spark.createDataFrame(pd.DataFrame({"seq_id": range(len(db)), "items": db}))
+    return db, d, encode_rdd(df, d).cache()
 
 
 class TestRandomizedCrossAlgorithm:
+    @staticmethod
+    def _check_agreement(random_db, expr, sigma):
+        db, d, rdd = random_db
+        fst = compile_patex(expr, d)
+        want = {
+            " ".join(p): f
+            for p, f in mine_sequential(db, HIER, expr, sigma, dictionary=d).items()
+        }
+        for algo in ALGORITHMS:
+            assert run_algorithm(algo, rdd, fst, d, sigma) == want, algo
+
     @pytest.mark.parametrize(
         "expr, sigma",
         [
@@ -181,30 +177,18 @@ class TestRandomizedCrossAlgorithm:
             (".*[(A^)|(d)]+.*", 2),
         ],
     )
-    def test_agreement_random_db(self, spark, dex_dict, expr, sigma):
-        rng = random.Random(5)
-        vocab = ["b", "A", "d", "a1", "c", "e", "a2"]
-        db = [
-            [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
-            for _ in range(60)
-        ]
-        df = spark.createDataFrame(
-            pd.DataFrame({"seq_id": range(len(db)), "items": db})
-        )
-        d = Dictionary.build(db, HIER)
-        rdd = encode_rdd(df, d).cache()
-        fst = compile_patex(expr, d)
-        results = [
-            run_algorithm(a, rdd, fst, d, sigma)
-            for a in ("semi_naive", "dseq", "dcand")
-        ]
-        assert results[0] == results[1] == results[2]
-        # And the sequential miner agrees too.
-        seq = {
-            " ".join(p): f
-            for p, f in mine_sequential(db, HIER, expr, sigma, dictionary=d).items()
-        }
-        assert seq == results[0]
+    def test_agreement_random_db(self, random_db, expr, sigma):
+        """On hand-picked expressions (generalized output, gaps, repetition,
+        alternation), the four distributed algorithms return what the
+        sequential miner returns."""
+        self._check_agreement(random_db, expr, sigma)
+
+    @given(expr=PATTERNS, sigma=st.integers(2, 4))
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    def test_agreement_generated_patterns(self, random_db, expr, sigma):
+        """On generated pattern expressions, the four distributed algorithms
+        return what the sequential miner returns."""
+        self._check_agreement(random_db, expr, sigma)
 
 
 class TestFacade:
@@ -265,14 +249,21 @@ class TestEdgeInputs:
         with pytest.raises(Py4JJavaError, match="ValueError: item 'zzz' is not in the dictionary"):
             mine(spark, df, HIER, PIEX, 2, dictionary=dex_dict)
 
+    def test_mine_sequential_names_unknown_item(self, dex_dict):
+        """The driver-side miner encodes with the same Dictionary.encode,
+        so an unknown item fails with the same named ValueError."""
+        with pytest.raises(ValueError, match="item 'zzz' is not in the dictionary"):
+            mine_sequential([DEX[0] + ["zzz"]] * 2, HIER, PIEX, 2, dictionary=dex_dict)
+
     def test_mine_sequential_rejects_sigma_below_one(self):
         with pytest.raises(ValueError):
             mine_sequential([["a", "b"]] * 2, {}, "(a) (b)", 0)
 
     @pytest.mark.parametrize("algo", ["dseq", "dcand"])
     def test_long_sequences(self, spark, algo):
-        """An output pattern 3 000 items long is mined on executors without
-        hitting the interpreter's recursion limit."""
-        df = spark.createDataFrame([(["a"] * 3000,)] * 2, "items array<string>")
+        """An output pattern 20 000 items long (the order of Table II's
+        maximum sequence lengths) is mined on executors without hitting the
+        interpreter's recursion limit."""
+        df = spark.createDataFrame([(["a"] * 20000,)] * 2, "items array<string>")
         out = mine(spark, df, {}, "(a)+", 2, algorithm=algo).collect()
-        assert [(r["pattern"], r["support"]) for r in out] == [(" ".join(["a"] * 3000), 2)]
+        assert [(r["pattern"], r["support"]) for r in out] == [(" ".join(["a"] * 20000), 2)]

@@ -2,7 +2,8 @@
 
 Hypothesis draws pattern expressions from a grammar over the running
 example's items (captures, ``.``, ``^``, ``=``, ``|``, ``?``, ``*``, ``+``,
-``{m,n}``) and small random databases. On every draw, DESQ-DFS must equal
+``{m,n}``), small random databases and a random item hierarchy (a DAG in
+which an item has 0–2 parents). On every draw, DESQ-DFS must equal
 brute-force counting over the generated candidates, and the union of the
 per-pivot D-SEQ (early stopping on and off) and D-CAND results must equal
 DESQ-DFS. Expressions and sequences are kept short, so that brute-force
@@ -10,6 +11,7 @@ candidate enumeration stays cheap.
 """
 from hypothesis import given, settings, strategies as st
 
+from repro.hierarchy import Dictionary
 from repro.patex import compile_patex
 from repro.desq.dfs import mine
 from repro.desq.nfa import mine_nfas
@@ -44,10 +46,22 @@ DATABASES = st.lists(
 )
 
 
-@given(expr=PATTERNS, db=DATABASES, sigma=st.integers(1, 3))
+@st.composite
+def hierarchies(draw):
+    """Each item takes up to two parents among the items before it in a
+    drawn order, so the hierarchy is a DAG and may have two-parent items
+    (AMZN's products in two subcategories)."""
+    items = draw(st.permutations(PAPER_ORDER))
+    return {
+        w: draw(st.lists(st.sampled_from(items[:i]), max_size=2, unique=True)) if i else []
+        for i, w in enumerate(items)
+    }
+
+
+@given(expr=PATTERNS, db=DATABASES, hierarchy=hierarchies(), sigma=st.integers(1, 3))
 @settings(max_examples=600, deadline=None)
-def test_miners_agree(dex_dict, expr, db, sigma):
-    d = dex_dict
+def test_miners_agree(expr, db, hierarchy, sigma):
+    d = Dictionary.build(db, hierarchy)
     fst = compile_patex(expr, d)
     encoded = [d.encode(s) for s in db]
     full = mine(wrap(encoded), fst, d, sigma)

@@ -2,6 +2,7 @@
 import pytest
 
 from repro.hierarchy import (
+    EPS_BITS,
     EPSILON,
     Dictionary,
     HierarchyError,
@@ -123,15 +124,17 @@ class TestDictionary:
         assert dex_dict.decode_str(enc) == "a1 c d c b"
 
     def test_fmax_sigma2(self, dex_dict):
-        """σ=2: frequent = {b, A, d, a1, c}; e and a2 infrequent."""
-        fmax = dex_dict.fmax(2)
-        assert fmax == dex_dict.fid_of["c"] == 5
+        """σ=2: frequent = {b, A, d, a1, c}, the prefix of fids up to
+        fmax = 5; e and a2 infrequent."""
+        assert dex_dict.fid_of["c"] == 5
+        assert dex_dict.frequent_mask(2) == (1 << 6) - 1  # ε and fids 1..5
         assert dex_dict.is_frequent(dex_dict.fid_of["c"], 2)
         assert not dex_dict.is_frequent(dex_dict.fid_of["e"], 2)
 
     def test_fmax_sigma_all_and_none(self, dex_dict):
-        assert dex_dict.fmax(1) == 7
-        assert dex_dict.fmax(100) == 0
+        """fmax = 7 (every item) at σ=1 and 0 (only ε) at σ=100."""
+        assert dex_dict.frequent_mask(1) == (1 << 8) - 1
+        assert dex_dict.frequent_mask(100) == EPS_BITS
 
     def test_order_missing_item_raises(self):
         with pytest.raises(HierarchyError):

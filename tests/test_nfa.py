@@ -22,6 +22,14 @@ from repro.desq.simulate import accepting_runs, generate, run_output_sets
 from tests.conftest import PIEX
 
 
+def pivots_of_run(filtered):
+    """K(r): fold the run's output sets with the frozenset ⊕ (Theorem 1)."""
+    acc = EPS_SET
+    for out in filtered:
+        acc = pivot_merge(acc, frozenset(out))
+    return {k for k in acc if k != EPSILON}
+
+
 def nfas_for(fst, T, d, sigma):
     """Build per-pivot NFAs for one sequence (the D-CAND map step)."""
 
@@ -29,16 +37,22 @@ def nfas_for(fst, T, d, sigma):
         for run in accepting_runs(fst, T, d):
             yield run_output_sets(run, T, d)
 
-    def pivots_of_run(filtered):
-        acc = EPS_SET
-        for out in filtered:
-            acc = pivot_merge(acc, frozenset(out))
-        return {k for k in acc if k != EPSILON}
-
     def sigma_filter(out):
         return tuple(w for w in out if d.is_frequent(w, sigma))
 
     return build_pivot_nfas(runs(), pivots_of_run, sigma_filter)
+
+
+def pivot_tries(fst, T, d):
+    """The unminimised per-pivot tries of T (no σ-filter) as NFAs: what
+    :func:`build_pivot_nfas` builds before it minimises."""
+    tries = {}
+    for run in accepting_runs(fst, T, d):
+        outs = [out for out in run_output_sets(run, T, d) if out]
+        for k in pivots_of_run(outs):
+            labels = [tuple(w for w in out if w <= k) for out in outs]
+            tries.setdefault(k, Trie()).insert(labels)
+    return {k: trie_to_nfa(trie) for k, trie in tries.items()}
 
 
 # Runs of a trie: each a list of output sets (the labels of its path).
@@ -83,21 +97,7 @@ class TestTrieAndMinimize:
     def test_fig7_trie_size(self, piex_fst, dex_dict, dex_encoded):
         """Fig. 7b: the trie for ρc(T1) has 13 vertices and 12 edges."""
         c = dex_dict.fid_of["c"]
-
-        def runs():
-            for run in accepting_runs(piex_fst, dex_encoded[0], dex_dict):
-                yield run_output_sets(run, dex_encoded[0], dex_dict)
-
-        def pivots_of_run(filtered):
-            acc = EPS_SET
-            for out in filtered:
-                acc = pivot_merge(acc, frozenset(out))
-            return {k for k in acc if k != EPSILON}
-
-        nfas = build_pivot_nfas(
-            runs(), pivots_of_run, lambda o: tuple(o), minimize_nfas=False
-        )
-        trie_nfa = nfas[c]
+        trie_nfa = pivot_tries(piex_fst, dex_encoded[0], dex_dict)[c]
         assert trie_nfa.n_states == 13
         assert trie_nfa.n_edges == 12
 
@@ -123,23 +123,12 @@ class TestTrieAndMinimize:
 
     def test_minimization_preserves_language(self, piex_fst, dex_dict, dex_encoded):
         for T in dex_encoded:
-            def runs():
-                for run in accepting_runs(piex_fst, T, dex_dict):
-                    yield run_output_sets(run, T, dex_dict)
-
-            def pivots_of_run(filtered):
-                acc = EPS_SET
-                for out in filtered:
-                    acc = pivot_merge(acc, frozenset(out))
-                return {k for k in acc if k != EPSILON}
-
-            raw = build_pivot_nfas(
-                runs(), pivots_of_run, lambda o: tuple(o), minimize_nfas=False
-            )
-            for k, nfa in raw.items():
+            built = nfas_for(piex_fst, T, dex_dict, 1)  # σ = 1 filters nothing
+            for k, nfa in pivot_tries(piex_fst, T, dex_dict).items():
                 mini = minimize(nfa)
                 assert mini.language() == nfa.language()
                 assert mini.n_states <= nfa.n_states
+                assert built[k] == mini
 
     def test_pivot_nfa_language_is_pivot_share(
         self, piex_fst, dex_dict, dex_encoded

@@ -40,15 +40,6 @@ class TestRunningExample:
         for k, (rho, _) in reps.items():
             assert rho == dex_encoded[0]
 
-    def test_rewrite_disabled_returns_full(self, piex_fst, dex_dict, dex_encoded):
-        reps = pivot_representations(
-            piex_fst, dex_encoded[1], dex_dict, 2, rewrite=False
-        )
-        a1 = dex_dict.fid_of["a1"]
-        rho, last_piv = reps[a1]
-        assert rho == dex_encoded[1]
-        assert last_piv == 4  # 0-based index of the second a1 in T2
-
 
 class TestTrimmingPreservesPivotCandidates:
     """The correctness contract: Gσ(ρk(T)) and Gσ(T) agree on pivot-k
