@@ -1,12 +1,14 @@
 """D-CAND: item-based partitioning with candidate representation (Sec. VI).
 
-Map (per input sequence T):
+Map (per input sequence T, :func:`map_sequence`):
   * enumerate accepting runs by pruned DFS (no grid — the paper found the
     grid not to pay off for the selective constraints D-CAND targets),
-  * per run, σ-filter the output sets, compute the run's pivot items K(r)
-    by folding ⊕ (Theorem 1), and insert the run into a per-pivot trie
-    with items > k dropped,
-  * minimize each trie (Revuz) and serialize it with the DFS scheme,
+  * per run, on the output bitsets of :meth:`Fst.step`: σ-filter each set
+    with the frequent-item mask (0 left = dead run, 1 = ε), fold the run's
+    pivot items K(r) with ⊕ (:func:`merge_bits`, Theorem 1), and insert the
+    run into a per-pivot trie with items > k cut off,
+  * minimize each trie (Revuz), decode the minimal NFA's labels to item
+    tuples and serialize it with the DFS scheme,
   * emit ``(k, serialized_nfa)``.
 
 Shuffle: the skeleton's ``combineByKey`` aggregates identical NFAs into
@@ -24,16 +26,33 @@ constraints (MLlib setting, Fig. 13).
 """
 from __future__ import annotations
 
-from typing import Optional
+from functools import reduce
+from typing import List, Optional, Tuple
 
 from pyspark import RDD
 
-from repro.hierarchy import EPS_BITS, Dictionary, bit_items, item_bits
+from repro.hierarchy import EPS_BITS, Dictionary
 from repro.patex.fst import Fst
 from repro.desq.grid import merge_bits
-from repro.desq.nfa import build_pivot_nfas, deserialize, mine_nfas, serialize
-from repro.desq.simulate import accepting_runs, run_output_sets
+from repro.desq.nfa import deserialize, mine_nfas, pivot_nfas, serialize
+from repro.desq.simulate import accepting_runs
 from repro.core.framework import one_round
+
+
+def map_sequence(
+    fst: Fst, d: Dictionary, T: Tuple[int, ...], sigma: int, max_runs: Optional[int] = None
+) -> List[Tuple[int, Tuple[int, ...]]]:
+    """D-CAND's map for one sequence: ``[(k, serialized NFA)]``, pivots in
+    the order of their first accepting run."""
+    mask = d.frequent_mask(sigma)
+
+    def runs():
+        for run in accepting_runs(fst, T, d, max_runs=max_runs):
+            labels = [b for _, _, bits in run if (b := bits & mask) != EPS_BITS]
+            if all(labels):  # a 0 is an all-infrequent output set: the run is dead
+                yield labels, reduce(merge_bits, labels, EPS_BITS) & -2  # drop ε
+
+    return [(k, serialize(nfa)) for k, nfa in pivot_nfas(runs()).items()]
 
 
 def d_cand(
@@ -47,23 +66,7 @@ def d_cand(
     """RDD of fid tuples → RDD of (subsequence, frequency), frequency ≥ σ."""
 
     def map_fn(fst_, d_, T):
-        mask = d_.frequent_mask(sigma)
-
-        def runs():
-            for run in accepting_runs(fst_, T, d_, max_runs=max_runs):
-                yield run_output_sets(run, T, d_)
-
-        def pivots_of_run(filtered):
-            acc = EPS_BITS
-            for out in filtered:
-                acc = merge_bits(acc, item_bits(out))
-            return bit_items(acc & -2)  # drop ε
-
-        def sigma_filter(out):
-            return tuple(w for w in out if mask >> w & 1)
-
-        nfas = build_pivot_nfas(runs(), pivots_of_run, sigma_filter)
-        return [(k, serialize(nfa)) for k, nfa in nfas.items()]
+        return map_sequence(fst_, d_, T, sigma, max_runs)
 
     def reduce_fn(fst_, d_, k, weights):
         inputs = [(deserialize(payload), w) for payload, w in weights.items()]

@@ -16,6 +16,7 @@ from pyspark.sql.types import LongType, StringType, StructField, StructType
 
 from repro.hierarchy import Dictionary
 from repro.patex.fst import Fst
+from repro.desq.simulate import CandidateLimitExceeded
 
 
 def encode_rdd(df: DataFrame, d: Dictionary, item_col: str = "items") -> RDD:
@@ -72,16 +73,25 @@ def one_round(
     {rep: weight})`` yields ``(subsequence, frequency)`` pairs. ``(fst, d)``
     is broadcast once for both phases. Identical reps are merged into
     weights map-side by ``combineByKey``, the paper's combine function.
+    A map-side :class:`CandidateLimitExceeded` or ValueError is re-raised
+    with the input partition index and the record's offset in it.
     """
     bc = seq_rdd.context.broadcast((fst, d))
 
-    def map_phase(T):
-        return map_fn(*bc.value, T)
+    def map_phase(index, records):
+        fst_, d_ = bc.value
+        offset = 0  # records consumed, so also the failing record's offset
+        try:
+            for T in records:
+                yield from map_fn(fst_, d_, T)
+                offset += 1
+        except (CandidateLimitExceeded, ValueError) as e:
+            raise type(e)(f"{e} (input partition {index}, record {offset})") from e
 
     def reduce_phase(kv):
         return reduce_fn(*bc.value, *kv)
 
-    partitions = seq_rdd.flatMap(map_phase).combineByKey(
+    partitions = seq_rdd.mapPartitionsWithIndex(map_phase).combineByKey(
         lambda rep: {rep: 1}, _add_rep, merge_weight_dicts
     )
     return partitions.flatMap(reduce_phase)

@@ -5,10 +5,13 @@ the candidate subsequences as a finite language accepted by an NFA:
 
 * **Construction** — each accepting run's sequence of non-ε output sets
   (σ-filtered, items > k dropped) is inserted into a trie whose edge labels
-  are output *sets*; one NFA edge corresponds to one output set.
+  are output *sets*, held as item bitsets (bit w = item w, as
+  :meth:`repro.patex.fst.Fst.step` yields them); one NFA edge corresponds
+  to one output set.
 * **Minimization** — tries are acyclic, so they are minimized in linear
   time à la Revuz: states are merged bottom-up when they agree on finality
-  and on their (label → target) edge sets.
+  and on their (label → target) edge sets. Only then are the labels of the
+  minimal NFA decoded to item tuples, which :func:`serialize` writes.
 * **Serialization** — the paper's DFS scheme: per transition, the label is
   always written; the source state id only when the source was already
   visited on another path; the target state id only when the target was
@@ -20,9 +23,11 @@ the candidate subsequences as a finite language accepted by an NFA:
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.hierarchy import bit_items, item_bits
 from repro.desq.dfs import grow
 
 Label = Tuple[int, ...]  # an output set, ascending item fids
@@ -34,23 +39,24 @@ _FINAL = 4
 
 
 class Trie:
-    """Trie over sequences of output sets; edge labels are sets."""
+    """Trie over sequences of output sets; edge labels are item bitsets."""
 
     def __init__(self) -> None:
-        self.children: List[Dict[Label, int]] = [{}]
+        self.children: List[Dict[int, int]] = [{}]
         self.final: List[bool] = [False]
 
-    def insert(self, labels: Sequence[Label]) -> None:
-        node = 0
+    def insert(self, labels: Sequence[int], cut: int) -> None:
+        """Add the path of ``labels``, each intersected with ``cut``."""
+        children, final, node = self.children, self.final, 0
         for lab in labels:
-            nxt = self.children[node].get(lab)
-            if nxt is None:
-                nxt = len(self.children)
-                self.children.append({})
-                self.final.append(False)
-                self.children[node][lab] = nxt
-            node = nxt
-        self.final[node] = True
+            lab &= cut
+            edges = children[node]
+            node = edges.get(lab, 0)
+            if not node:  # no edge leads back to the root
+                node = edges[lab] = len(children)
+                children.append({})
+                final.append(False)
+        final[node] = True
 
     def __len__(self) -> int:
         return len(self.children)
@@ -92,43 +98,38 @@ class Nfa:
         return out
 
 
-def trie_to_nfa(trie: Trie) -> Nfa:
-    children = tuple(
-        tuple(sorted(c.items())) for c in trie.children
-    )
-    return Nfa(children, tuple(trie.final))
-
-
-def minimize(nfa: Nfa) -> Nfa:
-    """Merge equivalent states bottom-up (Revuz for acyclic automata).
+def minimize(trie: Trie) -> Nfa:
+    """The minimal NFA of a trie: equivalent states merged bottom-up (Revuz
+    for acyclic automata), then the labels decoded to item tuples.
 
     Two states are equivalent iff they have the same finality and the same
-    (label, equivalent-target) edges. Precondition, which tries (and this
-    function's own output) satisfy: every edge leads to a higher state id,
-    and a state's edges have distinct labels, sorted. One pass from the last
-    state down to state 0 then sees every target before its source and
-    computes the unique minimal partition. Classes are numbered in reverse
-    order of discovery, so the root is state 0 again.
+    (label, equivalent-target) edges. Every trie edge leads to a higher
+    state id, so one pass from the last state down to state 0 sees every
+    target before its source and computes the unique minimal partition.
+    Classes are numbered in reverse order of discovery, so the root is state
+    0 again. Only the minimal NFA's labels are decoded, once per distinct
+    bitset, and each state's edges are sorted by their decoded labels.
     """
-    cls = [0] * nfa.n_states
+    children, final = trie.children, trie.final
+    cls = [0] * len(children)
     class_of: Dict[Tuple, int] = {}
     reps: List[int] = []  # the first state found in each class
-    for state in range(nfa.n_states - 1, -1, -1):
-        sig = (
-            nfa.final[state],
-            tuple((lab, cls[tgt]) for lab, tgt in nfa.children[state]),
-        )
-        c = class_of.get(sig)
-        if c is None:
-            c = class_of[sig] = len(reps)
+    for state in range(len(children) - 1, -1, -1):
+        sig = [final[state]]  # finality, then (label, class) by label
+        for lab, tgt in sorted(children[state].items()):
+            sig += lab, cls[tgt]
+        c = cls[state] = class_of.setdefault(tuple(sig), len(reps))
+        if c == len(reps):
             reps.append(state)
-        cls[state] = c
     last = len(reps) - 1
     reps.reverse()
-    children = tuple(
-        tuple((lab, last - cls[tgt]) for lab, tgt in nfa.children[s]) for s in reps
-    )
-    return Nfa(children, tuple(nfa.final[s] for s in reps))
+    decoded = {lab: tuple(bit_items(lab)) for lab in {lab for s in reps for lab in children[s]}}
+    rows = []
+    for s in reps:
+        row = [(decoded[lab], last - cls[tgt]) for lab, tgt in children[s].items()]
+        row.sort()
+        rows.append(tuple(row))
+    return Nfa(tuple(rows), tuple(final[s] for s in reps))
 
 
 def serialize(nfa: Nfa) -> Tuple[int, ...]:
@@ -203,39 +204,34 @@ def deserialize(data: Sequence[int]) -> Nfa:
             final.append(bool(flags & _FINAL))
         children[src].append((lab, tgt))
         cursor = tgt
-    return Nfa(tuple(tuple(sorted(c)) for c in children), tuple(final))
+    # serialize writes each state's edges in label order, so they are sorted.
+    return Nfa(tuple(map(tuple, children)), tuple(final))
 
 
-def build_pivot_nfas(
-    runs_output_sets: Iterator[List[Label]],
-    pivots_of_run,
-    sigma_filter,
-) -> Dict[int, Nfa]:
-    """Build one minimised NFA per pivot from an iterator of runs' output sets.
-
-    ``pivots_of_run(outs)`` returns the pivot items K(r) of a run;
-    ``sigma_filter(out)`` maps an output set to its σ-filtered version
-    (possibly empty = dead). Items > k are dropped per pivot on insertion.
+def pivot_nfas(runs: Iterable[Tuple[Sequence[int], int]]) -> Dict[int, Nfa]:
+    """One minimised NFA per pivot from ``(labels, pivots)`` per run:
+    ``labels`` are the run's σ-filtered non-ε output sets and ``pivots`` its
+    pivot items K(r), all as item bitsets. Pivot k's trie gets the run with
+    each label cut to its items ≤ k; k ∈ K(r) guarantees that none becomes
+    empty. Pivots come in the order of their first run, ascending within it.
     """
-    tries: Dict[int, Trie] = {}
-    for outs in runs_output_sets:
-        filtered: List[Label] = []
-        dead = False
-        for out in outs:
-            if not out:
-                continue  # ε — contributes nothing
-            kept = sigma_filter(out)
-            if not kept:
-                dead = True
-                break
-            filtered.append(kept)
-        if dead:
-            continue
-        for k in pivots_of_run(filtered):
-            labels = [tuple(w for w in out if w <= k) for out in filtered]
-            # k ∈ K(r) guarantees every set retains an item ≤ k.
-            tries.setdefault(k, Trie()).insert(labels)
-    return {k: minimize(trie_to_nfa(trie)) for k, trie in tries.items()}
+    tries: Dict[int, Trie] = defaultdict(Trie)  # keyed by 1 << k
+    for labels, pivots in runs:
+        while pivots:
+            low = pivots & -pivots
+            pivots ^= low
+            tries[low].insert(labels, (low << 1) - 1)  # cut to the items ≤ k
+    return {low.bit_length() - 1: minimize(trie) for low, trie in tries.items()}
+
+
+def build_pivot_nfas(runs_output_sets, pivots_of_run, sigma_filter) -> Dict[int, Nfa]:
+    """:func:`pivot_nfas` over runs given as output tuples (``()`` = ε).
+    ``sigma_filter(out)`` is an output set's σ-filtered version (empty: the
+    run is dead); ``pivots_of_run`` gives K(r) of a run's filtered sets."""
+    filtered = ([sigma_filter(out) for out in outs if out] for outs in runs_output_sets)
+    return pivot_nfas(
+        ([item_bits(out) for out in f], item_bits(pivots_of_run(f))) for f in filtered if all(f)
+    )
 
 
 def mine_nfas(

@@ -246,8 +246,22 @@ class TestEdgeInputs:
         a ValueError that names the item (raised on an executor, so the
         driver sees it inside Spark's job failure)."""
         df = spark.createDataFrame([(DEX[0] + ["zzz"],)] * 2, "items array<string>")
-        with pytest.raises(Py4JJavaError, match="ValueError: item 'zzz' is not in the dictionary"):
+        with pytest.raises(Py4JJavaError, match=r"ValueError: item 'zzz' is not in the dictionary"
+                                                r" \(input partition \d+, record 0\)"):
             mine(spark, df, HIER, PIEX, 2, dictionary=dex_dict)
+
+    def test_map_error_names_partition_and_record(self, spark):
+        """A map-side limit error names the input partition and the offset
+        of the failing record in it: here the 4th record, the 2nd of
+        partition 1, has two accepting runs against ``max_runs=1``."""
+        db = [["a", "b"]] * 3 + [["a", "a"]]
+        d = Dictionary.build(db, {})
+        rdd = spark.sparkContext.parallelize([d.encode(s) for s in db], 2)
+        out = ALGORITHMS["dcand"](rdd, compile_patex(".* (a) .*", d), d, 1, max_runs=1)
+        with pytest.raises(Py4JJavaError, match=r"CandidateLimitExceeded: more than 1 accepting"
+                                                r" runs for the sequence of 2 items \[a a\]"
+                                                r" \(input partition 1, record 1\)"):
+            out.collect()
 
     def test_mine_sequential_names_unknown_item(self, dex_dict):
         """The driver-side miner encodes with the same Dictionary.encode,

@@ -6,19 +6,20 @@ example's items (captures, ``.``, ``^``, ``=``, ``|``, ``?``, ``*``, ``+``,
 which an item has 0–2 parents). On every draw, DESQ-DFS must equal
 brute-force counting over the generated candidates, and the union of the
 per-pivot D-SEQ (early stopping on and off) and D-CAND results must equal
-DESQ-DFS. Expressions and sequences are kept short, so that brute-force
+DESQ-DFS, and D-CAND's map must ship the payloads of its tuple reference. Expressions and sequences are kept short, so that brute-force
 candidate enumeration stays cheap.
 """
 from hypothesis import given, settings, strategies as st
 
 from repro.hierarchy import Dictionary
 from repro.patex import compile_patex
+from repro.core.dcand import map_sequence
 from repro.desq.dfs import mine
-from repro.desq.nfa import mine_nfas
+from repro.desq.nfa import deserialize, mine_nfas, serialize
 from repro.desq.rewrite import pivot_representations
 from tests.conftest import PAPER_ORDER
 from tests.test_dfs import brute_force_mine, wrap
-from tests.test_nfa import nfas_for
+from tests.test_nfa import reference_nfas
 
 NAMED = st.tuples(st.sampled_from(PAPER_ORDER), st.sampled_from(["", "^"]),
                   st.sampled_from(["", "="])).map("".join)
@@ -71,8 +72,8 @@ def test_miners_agree(expr, db, hierarchy, sigma):
     for T in encoded:
         for k, rep in pivot_representations(fst, T, d, sigma).items():
             seq_parts.setdefault(k, []).append((rep, 1))
-        for k, nfa in nfas_for(fst, T, d, sigma).items():
-            cand_parts.setdefault(k, []).append((nfa, 1))
+        for k, payload in map_sequence(fst, d, T, sigma):
+            cand_parts.setdefault(k, []).append((deserialize(payload), 1))
     for early_stop in (True, False):
         union = {}
         for k, inputs in seq_parts.items():
@@ -82,3 +83,15 @@ def test_miners_agree(expr, db, hierarchy, sigma):
     for k, nfas in cand_parts.items():
         union.update(mine_nfas(nfas, sigma, k))
     assert union == full
+
+
+@given(expr=PATTERNS, db=DATABASES, hierarchy=hierarchies(), sigma=st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_bitset_map_matches_tuple_reference(expr, db, hierarchy, sigma):
+    """D-CAND's map on output bitsets ships, per sequence, exactly the
+    payloads of the tuple reference, pivots in the same order."""
+    d = Dictionary.build(db, hierarchy)
+    fst = compile_patex(expr, d)
+    for T in map(d.encode, db):
+        want = [(k, serialize(nfa)) for k, nfa in reference_nfas(fst, T, d, sigma).items()]
+        assert map_sequence(fst, d, T, sigma) == want

@@ -1,12 +1,9 @@
 """Tests for candidate NFAs: tries, minimization, serialization, mining
 (Sec. VI, Figs. 7-8)."""
-import random
-
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.hierarchy import EPSILON
-from repro.patex import compile_patex
+from repro.core.dcand import map_sequence
+from repro.hierarchy import EPSILON, item_bits
 from repro.desq.grid import EPS_SET, pivot_merge
 from repro.desq.nfa import (
     Nfa,
@@ -16,11 +13,12 @@ from repro.desq.nfa import (
     mine_nfas,
     minimize,
     serialize,
-    trie_to_nfa,
 )
 from repro.desq.simulate import accepting_runs, generate, run_output_sets
-from tests.conftest import PIEX
 
+
+# The tuple reference for D-CAND's bitset map: labels as item tuples, the
+# frozenset ⊕, a trie over tuples, and Revuz minimisation on its NFA.
 
 def pivots_of_run(filtered):
     """K(r): fold the run's output sets with the frozenset ⊕ (Theorem 1)."""
@@ -30,29 +28,77 @@ def pivots_of_run(filtered):
     return {k for k in acc if k != EPSILON}
 
 
-def nfas_for(fst, T, d, sigma):
-    """Build per-pivot NFAs for one sequence (the D-CAND map step)."""
-
-    def runs():
-        for run in accepting_runs(fst, T, d):
-            yield run_output_sets(run, T, d)
-
-    def sigma_filter(out):
-        return tuple(w for w in out if d.is_frequent(w, sigma))
-
-    return build_pivot_nfas(runs(), pivots_of_run, sigma_filter)
-
-
-def pivot_tries(fst, T, d):
-    """The unminimised per-pivot tries of T (no σ-filter) as NFAs: what
-    :func:`build_pivot_nfas` builds before it minimises."""
-    tries = {}
+def pivot_runs(fst, T, d, sigma):
+    """Per pivot k, in order of first appearance: the label sequences of the
+    runs with k ∈ K(r) — σ-filtered, ε dropped, items > k cut off."""
+    runs = {}
     for run in accepting_runs(fst, T, d):
-        outs = [out for out in run_output_sets(run, T, d) if out]
-        for k in pivots_of_run(outs):
-            labels = [tuple(w for w in out if w <= k) for out in outs]
-            tries.setdefault(k, Trie()).insert(labels)
-    return {k: trie_to_nfa(trie) for k, trie in tries.items()}
+        filtered = [tuple(w for w in out if d.is_frequent(w, sigma))
+                    for out in run_output_sets(run, T, d) if out]
+        if not all(filtered):
+            continue  # an all-infrequent output set kills the run
+        for k in sorted(pivots_of_run(filtered)):
+            runs.setdefault(k, []).append([tuple(w for w in out if w <= k) for out in filtered])
+    return runs
+
+
+class TupleTrie:
+    """Trie over sequences of output sets; edge labels are item tuples."""
+
+    def __init__(self, runs=()):
+        self.children = [{}]
+        self.final = [False]
+        for labels in runs:
+            node = 0
+            for lab in labels:
+                nxt = self.children[node].get(lab)
+                if nxt is None:
+                    nxt = self.children[node][lab] = len(self.children)
+                    self.children.append({})
+                    self.final.append(False)
+                node = nxt
+            self.final[node] = True
+
+    def nfa(self):
+        return Nfa(tuple(tuple(sorted(c.items())) for c in self.children), tuple(self.final))
+
+
+def reference_minimize(nfa):
+    """Revuz on an NFA whose edges lead to higher states, with sorted,
+    distinct labels per state; classes numbered in reverse discovery order."""
+    cls = [0] * nfa.n_states
+    class_of, reps = {}, []
+    for state in range(nfa.n_states - 1, -1, -1):
+        sig = (nfa.final[state], tuple((lab, cls[tgt]) for lab, tgt in nfa.children[state]))
+        if sig not in class_of:
+            class_of[sig] = len(reps)
+            reps.append(state)
+        cls[state] = class_of[sig]
+    last = len(reps) - 1
+    reps.reverse()
+    children = tuple(
+        tuple((lab, last - cls[tgt]) for lab, tgt in nfa.children[s]) for s in reps
+    )
+    return Nfa(children, tuple(nfa.final[s] for s in reps))
+
+
+def reference_nfas(fst, T, d, sigma):
+    return {k: reference_minimize(TupleTrie(runs).nfa())
+            for k, runs in pivot_runs(fst, T, d, sigma).items()}
+
+
+def bits_trie(runs):
+    """:class:`Trie` of label sequences given as item collections."""
+    trie = Trie()
+    for labels in runs:
+        trie.insert([item_bits(lab) for lab in labels], -1)
+    return trie
+
+
+def nfas_for(fst, T, d, sigma):
+    """Per-pivot NFAs of one sequence as D-CAND's reducer receives them:
+    :func:`map_sequence`'s payloads, deserialized."""
+    return {k: deserialize(p) for k, p in map_sequence(fst, d, T, sigma)}
 
 
 # Runs of a trie: each a list of output sets (the labels of its path).
@@ -67,11 +113,8 @@ RUNS = st.lists(
 )
 
 
-def trie_of(runs):
-    trie = Trie()
-    for labels in runs:
-        trie.insert([tuple(sorted(l)) for l in labels])
-    return trie
+def tuple_runs(runs):
+    return [[tuple(sorted(lab)) for lab in labels] for labels in runs]
 
 
 def right_languages(nfa):
@@ -97,9 +140,9 @@ class TestTrieAndMinimize:
     def test_fig7_trie_size(self, piex_fst, dex_dict, dex_encoded):
         """Fig. 7b: the trie for ρc(T1) has 13 vertices and 12 edges."""
         c = dex_dict.fid_of["c"]
-        trie_nfa = pivot_tries(piex_fst, dex_encoded[0], dex_dict)[c]
-        assert trie_nfa.n_states == 13
-        assert trie_nfa.n_edges == 12
+        trie = bits_trie(pivot_runs(piex_fst, dex_encoded[0], dex_dict, 1)[c])
+        assert len(trie) == 13
+        assert sum(map(len, trie.children)) == 12
 
     def test_fig7_minimized_size(self, piex_fst, dex_dict, dex_encoded):
         """Fig. 7c: minimization yields 7 vertices and 10 edges."""
@@ -123,12 +166,12 @@ class TestTrieAndMinimize:
 
     def test_minimization_preserves_language(self, piex_fst, dex_dict, dex_encoded):
         for T in dex_encoded:
-            built = nfas_for(piex_fst, T, dex_dict, 1)  # σ = 1 filters nothing
-            for k, nfa in pivot_tries(piex_fst, T, dex_dict).items():
-                mini = minimize(nfa)
-                assert mini.language() == nfa.language()
-                assert mini.n_states <= nfa.n_states
-                assert built[k] == mini
+            for k, runs in pivot_runs(piex_fst, T, dex_dict, 1).items():
+                trie_nfa = TupleTrie(runs).nfa()
+                mini = minimize(bits_trie(runs))
+                assert mini.language() == trie_nfa.language()
+                assert mini.n_states <= trie_nfa.n_states
+                assert mini == reference_minimize(trie_nfa)
 
     def test_pivot_nfa_language_is_pivot_share(
         self, piex_fst, dex_dict, dex_encoded
@@ -183,29 +226,36 @@ class TestSerialization:
     @given(RUNS)
     @example([[frozenset({1}), frozenset({1, 3})], [frozenset({3}), frozenset({1})],
               [frozenset({3}), frozenset({3})]])
+    @example([[frozenset({1, 3})], [frozenset({3})]])
     @settings(max_examples=100, deadline=None)
     def test_roundtrip_random_tries(self, runs):
-        trie = trie_of(runs)
-        nfa = minimize(trie_to_nfa(trie))
-        assert nfa.language() == trie_to_nfa(trie).language()
+        """Minimising a trie over bitsets gives the tuple reference's NFA,
+        with edges in tuple order ({1, 3} before {3}, unlike 0b1010 > 0b1000)."""
+        nfa = minimize(bits_trie(runs))
+        trie_nfa = TupleTrie(tuple_runs(runs)).nfa()
+        assert nfa == reference_minimize(trie_nfa)
+        assert nfa.language() == trie_nfa.language()
         # Minimal: no two states accept the same label language.
         langs = right_languages(nfa)
         assert len(set(langs)) == len(langs)
         back = deserialize(serialize(nfa))
         assert back.language() == nfa.language()
-
+        assert serialize(back) == serialize(nfa)
+        assert all(list(edges) == sorted(edges) for edges in back.children)
 
     def test_golden_payloads(self, piex_fst, dex_dict, dex_encoded):
         """Fig. 7c's ρc(T1) and Fig. 8's ρa1(T5), int for int: the payload
         is what D-CAND shuffles, so its encoding must not drift."""
         c, a1 = dex_dict.fid_of["c"], dex_dict.fid_of["a1"]
-        assert serialize(nfas_for(piex_fst, dex_encoded[0], dex_dict, 1)[c]) == (
+        rho_c_t1 = (
             0, 1, 4, 0, 1, 3, 0, 1, 5, 4, 1, 1, 1, 1, 1, 5, 2, 1, 1, 4, 1, 5,
             1, 3, 2, 1, 1, 4, 3, 6, 1, 5, 3, 3, 5, 1, 5, 3,
         )
-        assert serialize(nfas_for(piex_fst, dex_encoded[4], dex_dict, 1)[a1]) == (
-            0, 1, 4, 4, 1, 1, 1, 1, 2, 2, 4, 2, 1, 1, 2,
-        )
+        rho_a1_t5 = (0, 1, 4, 4, 1, 1, 1, 1, 2, 2, 4, 2, 1, 1, 2)
+        assert serialize(reference_nfas(piex_fst, dex_encoded[0], dex_dict, 1)[c]) == rho_c_t1
+        assert serialize(reference_nfas(piex_fst, dex_encoded[4], dex_dict, 1)[a1]) == rho_a1_t5
+        assert dict(map_sequence(piex_fst, dex_dict, dex_encoded[0], 1))[c] == rho_c_t1
+        assert dict(map_sequence(piex_fst, dex_dict, dex_encoded[4], 1))[a1] == rho_a1_t5
 
     def test_long_chain_roundtrip(self):
         """A 6000-state chain (Table II's sequences reach 10⁴+ items)
@@ -245,10 +295,7 @@ class TestNfaMining:
 
     def test_duplicate_paths_count_once(self):
         """An NFA accepting the same sequence via two paths counts it once."""
-        trie = Trie()
-        trie.insert([(1,), (2,)])
-        nfa = trie_to_nfa(trie)
-        # Craft a second NFA state layout accepting 1-2 twice.
+        # An NFA state layout accepting 1-2 twice.
         dup = Nfa(
             children=(
                 (((1,), 1), ((1,), 2)),
@@ -283,7 +330,7 @@ class TestNfaMining:
         """Random weighted NFAs against a brute-force count over their
         languages: weights summed, each NFA counted once, support ≥ σ and
         maximum item = pivot."""
-        weighted = [(minimize(trie_to_nfa(trie_of(runs))), w) for runs, w in weighted_runs]
+        weighted = [(minimize(bits_trie(runs)), w) for runs, w in weighted_runs]
         counts = {}
         for nfa, w in weighted:
             for s in nfa.language():
