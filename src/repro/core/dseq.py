@@ -1,11 +1,14 @@
 """D-SEQ: item-based partitioning with sequence representation (Sec. V).
 
-Map (per input sequence T):
-  * build the position–state grid and compute the pivot items K(T) via the
-    forward pass (Sec. V-A),
-  * per pivot k, emit ``(k, (ρk(T), last_pivot_pos))`` where ρk(T) is the
-    trimmed rewrite (Sec. V-B) and last_pivot_pos feeds the reducer's
-    early-stopping heuristic.
+Map (per input sequence T), two passes over the position–state grid
+(Sec. V-A) without materialising it:
+  * a backward pass computes the σ-filtered suffix pivot sets, which also
+    tell which coordinates can accept,
+  * a forward pass computes the prefix pivot sets K(i, q) and, per edge,
+    the pivots of the runs through it; per pivot k of T it emits
+    ``(k, (ρk(T), last_pivot_pos))``, where ρk(T) is the trimmed rewrite
+    (Sec. V-B) and last_pivot_pos feeds the reducer's early-stopping
+    heuristic.
 
 Shuffle: the skeleton's ``combineByKey`` aggregates identical
 representations into weights map-side (LASH-style; identical rewritten

@@ -5,8 +5,8 @@ them into a DAG over coordinates ``(i, q)`` = (last-read position, FST
 state). An edge ``(i-1, q') → (i, q)`` labeled with transition δ exists iff
 δ is the i-th transition of some accepting run.
 
-Pivot search then needs a single forward pass using the *pivot merge*
-operator ⊕ (Theorem 1):
+Pivot search then needs a single pass over this DAG using the *pivot
+merge* operator ⊕ (Theorem 1):
 
     U ⊕ Q = { ω ∈ U | ω ≥ min(Q) } ∪ { ω ∈ Q | ω ≥ min(U) }
 
@@ -27,15 +27,19 @@ branch as the empty set with the convention ``U ⊕ ∅ = ∅``.
 The passes hold these sets as int bitsets (bit w = item w, bit 0 = ε), so ⊕
 is :func:`merge_bits` and union is ``|``. σ is one frequent-item mask per
 (Dictionary, σ) that keeps bit 0: a masked edge output of 1 is ε, 0 is dead.
+
+The grid is never stored: its edges out of position i are the memoised
+step row :meth:`Fst.steps` of ``T[i]``. D-SEQ's map (:mod:`repro.desq.rewrite`)
+runs the backward pass :func:`suffix_pivots`, whose B ≠ 0 marks the
+coordinates that can accept, then one forward pass; :func:`prefix_pivots` is
+that forward pass on its own, the Fig. 5 reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.hierarchy import EPS_BITS, EPSILON, Dictionary, bit_items
-from repro.patex.fst import Fst
-from repro.desq.simulate import acceptance_table
+from repro.hierarchy import EPS_BITS, EPSILON, Dictionary
+from repro.patex.fst import Fst, Step
 
 PivotSet = FrozenSet[int]
 EMPTY: PivotSet = frozenset()
@@ -59,111 +63,58 @@ def merge_bits(u: int, q: int) -> int:
     return (u & -(q & -q)) | (q & -(u & -u))
 
 
-@dataclass
-class Grid:
-    """Accepting-run DAG for one (FST, T) pair.
-
-    ``in_edges[i][q]`` lists ``(q_prev, bits)`` pairs for edges into
-    coordinate ``(i, q)`` (1 ≤ i ≤ n), ``bits`` being the edge's unfiltered
-    output bitset (:meth:`Fst.step`). Coordinates appear only if they lie on
-    at least one accepting run.
-    """
+class Grid(NamedTuple):
+    """``T`` and its grid edges: ``rows[i][q]`` lists the edges
+    ``(i, q) → (i+1, dst)`` as :meth:`Fst.steps` of ``T[i]`` gives them."""
 
     T: Tuple[int, ...]
-    in_edges: List[Dict[int, List[Tuple[int, int]]]]
-    final_states: Set[int]  # states q with (|T|, q) accepting
-
-    @property
-    def n(self) -> int:
-        return len(self.T)
-
-    def accepts(self) -> bool:
-        return bool(self.final_states)
+    rows: List[Tuple[Tuple[Step, ...], ...]]
 
 
 def build_grid(fst: Fst, T: Sequence[int], d: Dictionary) -> Grid:
-    """Construct the grid by FST simulation with memoized acceptance.
-
-    Only coordinates that are both reachable from ``(0, initial)`` and can
-    reach an accepting coordinate are materialized: a forward sweep over the
-    positions keeps the reached states of each position as a bitset.
-    """
-    T = tuple(T)
-    alive = acceptance_table(fst, T, d)
-    in_edges: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in range(len(T) + 1)]
-    reached = alive[0] & (1 << fst.initial)
-    for i, t in enumerate(T):
-        if not reached:
-            break
-        row, live, edges, nxt = fst.steps(t, d), alive[i + 1], in_edges[i + 1], 0
-        for q in range(fst.n_states):
-            if reached >> q & 1:
-                for dst, _, bits in row[q]:
-                    if live >> dst & 1:
-                        edges.setdefault(dst, []).append((q, bits))
-                        nxt |= 1 << dst
-        reached = nxt
-    return Grid(T, in_edges, set(bit_items(reached)))
+    """Gather the step rows of ``T`` (memoised per item by the FST)."""
+    return Grid(tuple(T), [fst.steps(t, d) for t in T])
 
 
 def prefix_pivots(
     grid: Grid, fst: Fst, d: Dictionary, sigma: Optional[int]
-) -> List[Dict[int, int]]:
-    """Forward pass: A[i][q] = K(i, q) as a bitset, the pivots of partial runs
-    up to (i, q). σ enters as :meth:`Dictionary.frequent_mask`: a masked edge
-    output of 1 is ε, 0 is dead."""
+) -> List[List[int]]:
+    """Forward pass: A[i][q] = pivots of the partial runs from
+    ``(0, initial)`` to (i, q) as a bitset, 0 if none is σ-live; the paper's
+    K(i, q) wherever (i, q) can accept."""
     mask = d.frequent_mask(sigma)
-    A: List[Dict[int, int]] = [{} for _ in range(grid.n + 1)]
-    if not grid.accepts() and grid.n > 0:
-        return A
+    A = [[0] * fst.n_states for _ in range(len(grid.rows) + 1)]
     A[0][fst.initial] = EPS_BITS
-    for i in range(1, grid.n + 1):
-        prev, cur = A[i - 1], A[i]
-        for q, incoming in grid.in_edges[i].items():
-            acc = 0
-            for q_prev, bits in incoming:
-                u, o = prev[q_prev], bits & mask
-                acc |= (u & -(o & -o)) | (o & -(u & -u))
-            cur[q] = acc
+    for i, row in enumerate(grid.rows):
+        prev, cur = A[i], A[i + 1]
+        for q, u in enumerate(prev):
+            if u:
+                for dst, _, bits in row[q]:
+                    cur[dst] |= merge_bits(u, bits & mask)
     return A
 
 
 def suffix_pivots(
     grid: Grid, fst: Fst, d: Dictionary, sigma: Optional[int]
-) -> List[Dict[int, int]]:
-    """Backward pass: B[i][q] = pivots of partial runs from (i, q) to accept."""
+) -> List[List[int]]:
+    """Backward pass: B[i][q] = pivots of the partial runs from (i, q) to
+    acceptance, 0 if none is σ-live; so B ≠ 0 implies (i, q) can accept."""
     mask = d.frequent_mask(sigma)
-    B: List[Dict[int, int]] = [{} for _ in range(grid.n + 1)]
-    for q in grid.final_states:
-        B[grid.n][q] = EPS_BITS
-    for i in range(grid.n, 0, -1):
-        nxt, cur = B[i], B[i - 1]
-        for q, incoming in grid.in_edges[i].items():
-            b = nxt[q]
-            for q_prev, bits in incoming:
-                o = bits & mask
-                cur[q_prev] = cur.get(q_prev, 0) | (o & -(b & -b)) | (b & -(o & -o))
+    n = len(grid.rows)
+    B = [[0] * fst.n_states for _ in range(n + 1)]
+    for q in fst.finals:
+        B[n][q] = EPS_BITS
+    for i in range(n - 1, -1, -1):
+        nxt, cur = B[i + 1], B[i]
+        for q, steps in enumerate(grid.rows[i]):
+            for dst, _, bits in steps:
+                b = nxt[dst]
+                if b:
+                    o = bits & mask
+                    cur[q] |= (o & -(b & -b)) | (b & -(o & -o))
+        if not any(cur):
+            break  # no σ-live run from position i or before accepts
     return B
-
-
-def pivot_items(
-    fst: Fst,
-    T: Sequence[int],
-    d: Dictionary,
-    sigma: int,
-    *,
-    grid: Optional[Grid] = None,
-) -> Set[int]:
-    """K(T): pivot items of Gσπ(T), via the grid (linear in |T|·|Q|·|Δ|)."""
-    if grid is None:
-        grid = build_grid(fst, T, d)
-    if not grid.accepts():
-        return set()
-    A = prefix_pivots(grid, fst, d, sigma)
-    K = 0
-    for q in grid.final_states:
-        K |= A[grid.n][q]
-    return set(bit_items(K & -2))  # drop ε
 
 
 def pivot_items_bruteforce(

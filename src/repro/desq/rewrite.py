@@ -8,10 +8,12 @@ transition either (1) produces output usable in a pivot-k candidate (an
 item ≤ k that survives σ-filtering) or (2) changes the FST state.
 
 Edges that "can produce a pivot-k candidate" are identified exactly via the
-grid: with A(i-1, q') the prefix pivot sets (forward pass), out the σ-filtered
-output set of the edge, and B(i, q) the suffix pivot sets (backward pass),
-the pivots of all runs through the edge are A ⊕ out ⊕ B (⊕ distributes over
-union), so the edge is k-capable iff k ∈ A ⊕ out ⊕ B.
+grid: with A(i-1, q') the prefix pivot sets, out the σ-filtered output set of
+the edge, and B(i, q) the suffix pivot sets, the pivots of all runs through
+the edge are A ⊕ out ⊕ B (⊕ distributes over union), so the edge is
+k-capable iff k ∈ A ⊕ out ⊕ B. Two passes compute this: the backward pass
+:func:`repro.desq.grid.suffix_pivots` (B ≠ 0 where a coordinate can accept),
+then a forward pass that carries A only where B ≠ 0. K(T) is the key set.
 
 Dropping leading/trailing irrelevant positions is sound (Sec. V-B): before
 the first relevant position, every pivot-k-capable run sits in the initial
@@ -22,15 +24,15 @@ and local mining outputs only pivot-k sequences anyway).
 This module also computes the *last pivot position* per (T, k) — the last
 position whose transition can output k on a k-capable run — which D-SEQ
 ships with ρk(T) so the reducer's early-stopping heuristic (Sec. V-C) needs
-no second grid construction.
+no second pass over T.
 """
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.hierarchy import Dictionary, bit_items
+from repro.hierarchy import EPS_BITS, Dictionary, bit_items
 from repro.patex.fst import Fst
-from repro.desq.grid import Grid, build_grid, prefix_pivots, suffix_pivots
+from repro.desq.grid import Grid, build_grid, suffix_pivots
 
 
 def pivot_representations(
@@ -48,38 +50,41 @@ def pivot_representations(
     k-capable accepting run. Returns an empty dict when T generates no
     σ-filtered candidates.
     """
-    T = tuple(T)
     if grid is None:
         grid = build_grid(fst, T, d)
-    if not grid.accepts():
-        return {}
-    A = prefix_pivots(grid, fst, d, sigma)
     B = suffix_pivots(grid, fst, d, sigma)
+    if not B[0][fst.initial]:
+        return {}
     mask = d.frequent_mask(sigma)
 
-    # Per position i (1-based over T), as pivot bitsets: the pivots for which
-    # i is relevant, and those that i's transition can output.
-    n = grid.n
+    # One forward pass. ``a`` holds A(i, q) where A and B are non-zero; per
+    # position i (1-based over T), as pivot bitsets: the pivots for which i
+    # is relevant, and those that i's transition can output.
+    n = len(grid.T)
     relevant = [0] * (n + 1)
     producing = [0] * (n + 1)
-    for i in range(1, n + 1):
-        prev, nxt, rel, prod = A[i - 1], B[i], 0, 0
-        for q, incoming in grid.in_edges[i].items():
-            b = nxt[q]
-            for q_prev, bits in incoming:
-                u, o = prev[q_prev], bits & mask
-                # A ⊕ out ⊕ B (merge_bits, inlined), without ε.
-                ao = (u & -(o & -o)) | (o & -(u & -u))
-                pivots = ((ao & -(b & -b)) | (b & -(ao & -ao))) & -2
-                if not pivots:
+    a = {fst.initial: EPS_BITS}
+    for i, row in enumerate(grid.rows, 1):
+        nb, nxt, rel, prod = B[i], {}, 0, 0
+        for q, u in a.items():
+            for dst, _, bits in row[q]:
+                b = nb[dst]
+                if not b:
                     continue
-                if q_prev != q:
+                o = bits & mask
+                ao = (u & -(o & -o)) | (o & -(u & -u))  # A ⊕ out (merge_bits)
+                if not ao:
+                    continue
+                nxt[dst] = nxt.get(dst, 0) | ao
+                # A ⊕ out ⊕ B, without ε.
+                pivots = ((ao & -(b & -b)) | (b & -(ao & -ao))) & -2
+                if q != dst:
                     rel |= pivots  # a state change is relevant for every pivot
                 else:
                     items = o & -2  # relevant for the pivots k ≥ min(out)
                     rel |= pivots & -(items & -items)
                 prod |= pivots & o
-        relevant[i], producing[i] = rel, prod
+        relevant[i], producing[i], a = rel, prod, nxt
 
     first_rel: Dict[int, int] = {}
     last_rel: Dict[int, int] = {}
@@ -99,6 +104,6 @@ def pivot_representations(
 
     # Every pivot k is output by some position, so last_piv[k] exists.
     return {
-        k: (T[first - 1 : last_rel[k]], last_piv[k] - first)
+        k: (grid.T[first - 1 : last_rel[k]], last_piv[k] - first)
         for k, first in first_rel.items()
     }

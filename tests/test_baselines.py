@@ -4,22 +4,17 @@ import random
 
 import pandas as pd
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.gapmine import gap_candidates, mine_gap
 from repro.baselines.mllib import prefixspan
-from repro.core import mine
+from repro.core import mine, mine_sequential
 from repro.desq.dfs import mine as dfs_mine
 from repro.desq.simulate import generate
+from repro.experiments.constraints import t2_expr, t3_expr
 from repro.hierarchy import Dictionary
 from repro.patex import compile_patex
-
-
-def t2_expr(gamma, lam):
-    return f".*(.)[.{{0,{gamma}}}(.)]{{1,{lam - 1}}}.*"
-
-
-def t3_expr(gamma, lam):
-    return f".*(.^)[.{{0,{gamma}}}(.^)]{{1,{lam - 1}}}.*"
+from tests.test_generated import DATABASES, hierarchies
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +73,19 @@ class TestMineGapVsGeneralStack:
         want = mine_gap(enc, d, sigma, gamma, lam, generalize=generalize)
         got = dfs_mine([((T, None), 1) for T in enc], fst, d, sigma)
         assert got == want
+
+
+@given(db=DATABASES, hierarchy=hierarchies(), sigma=st.integers(1, 3),
+       gamma=st.integers(0, 2), lam=st.integers(2, 4), generalize=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_mine_gap_equals_generated_t2_t3(db, hierarchy, sigma, gamma, lam, generalize):
+    """mine_gap == DESQ-DFS on T2(σ, γ, λ) / T3(σ, γ, λ), over random
+    hierarchy DAGs and small databases."""
+    d = Dictionary.build(db, hierarchy)
+    expr = t3_expr(gamma, lam) if generalize else t2_expr(gamma, lam)
+    got = mine_gap([d.encode(s) for s in db], d, sigma, gamma, lam, generalize=generalize)
+    want = mine_sequential(db, hierarchy, expr, sigma, dictionary=d)
+    assert {d.decode(c): f for c, f in got.items()} == want
 
 
 class TestPrefixSpan:

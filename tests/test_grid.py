@@ -12,10 +12,10 @@ from repro.desq.grid import (
     EPS_SET,
     build_grid,
     merge_bits,
-    pivot_items,
     pivot_items_bruteforce,
     pivot_merge,
     prefix_pivots,
+    suffix_pivots,
 )
 from repro.desq.rewrite import pivot_representations
 from repro.desq.simulate import generate
@@ -97,14 +97,16 @@ class TestPivotMerge:
 class TestGrid:
     def test_t3_has_no_accepting_runs(self, piex_fst, dex_dict, dex_encoded):
         grid = build_grid(piex_fst, dex_encoded[2], dex_dict)
-        assert not grid.accepts()
+        B = suffix_pivots(grid, piex_fst, dex_dict, sigma=None)
+        assert B[0][piex_fst.initial] == 0
 
     def test_t5_grid_structure(self, piex_fst, dex_dict, dex_encoded):
-        grid = build_grid(piex_fst, dex_encoded[4], dex_dict)
-        assert grid.accepts()
-        assert grid.final_states == {2}
-        # Fig. 6-adjacent: 3 accepting runs traverse (1,q0)/(1,q1), (2,q1), (3,q2).
-        assert set(grid.in_edges[3].keys()) == {2}
+        T5 = dex_encoded[4]
+        grid = build_grid(piex_fst, T5, dex_dict)
+        B = suffix_pivots(grid, piex_fst, dex_dict, sigma=None)
+        assert B[0][piex_fst.initial]
+        # B[|T|] = B[3]: only (3, q2) accepts, with the empty suffix {ε}.
+        assert B[len(T5)] == [0, 0, EPS_BITS]
 
     def test_fig5_prefix_pivots_t2(self, piex_fst, dex_dict, dex_encoded):
         """Fig. 5b / Sec. V-A: K(4, q1) = {a1} ∪ {e} = {a1, e}, unfiltered."""
@@ -122,7 +124,7 @@ class TestGrid:
 
     def test_fig5_sigma_filter_excludes_e(self, piex_fst, dex_dict, dex_encoded):
         """With σ=2, e (f=1) is never added: K(T2) = {a1}."""
-        assert pivot_items(piex_fst, dex_encoded[1], dex_dict, 2) == {4}
+        assert set(pivot_representations(piex_fst, dex_encoded[1], dex_dict, 2)) == {4}
 
 
 class TestDeadIsNotEpsilon:
@@ -140,7 +142,7 @@ class TestDeadIsNotEpsilon:
         fst = compile_patex("(a) (.) (b)", d)
         for seq in self.DB:
             T = d.encode(seq)
-            assert pivot_items(fst, T, d, 2) == set()
+            assert not suffix_pivots(build_grid(fst, T, d), fst, d, 2)[0][fst.initial]
             assert pivot_representations(fst, T, d, 2) == {}
             assert generate(fst, T, d, sigma=2) == set()
 
@@ -159,7 +161,7 @@ class TestPivotItems:
         ],
     )
     def test_fig3(self, piex_fst, dex_dict, dex_encoded, seq_idx, expected_names):
-        K = pivot_items(piex_fst, dex_encoded[seq_idx], dex_dict, 2)
+        K = set(pivot_representations(piex_fst, dex_encoded[seq_idx], dex_dict, 2))
         assert {dex_dict.name(k) for k in K} == expected_names
 
     @pytest.mark.parametrize("seq_idx", range(5))
@@ -167,9 +169,9 @@ class TestPivotItems:
     def test_grid_equals_bruteforce(
         self, piex_fst, dex_dict, dex_encoded, seq_idx, sigma
     ):
-        assert pivot_items(
+        assert set(pivot_representations(
             piex_fst, dex_encoded[seq_idx], dex_dict, sigma
-        ) == pivot_items_bruteforce(piex_fst, dex_encoded[seq_idx], dex_dict, sigma)
+        )) == pivot_items_bruteforce(piex_fst, dex_encoded[seq_idx], dex_dict, sigma)
 
 
 class TestGridVsBruteforceRandom:
@@ -194,6 +196,6 @@ class TestGridVsBruteforceRandom:
         vocab = [dex_dict.fid_of[w] for w in ("b", "A", "d", "a1", "c", "e", "a2")]
         for _ in range(25):
             T = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 7)))
-            assert pivot_items(fst, T, dex_dict, sigma) == pivot_items_bruteforce(
+            assert set(pivot_representations(fst, T, dex_dict, sigma)) == pivot_items_bruteforce(
                 fst, T, dex_dict, sigma
             ), (expr, sigma, T)

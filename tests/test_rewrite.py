@@ -1,13 +1,17 @@
 """Tests for sequence rewriting (Sec. V-B): trimming must preserve the
-per-pivot candidate sets."""
+per-pivot candidate sets, and the two-pass map must equal a per-run
+brute-force definition of relevance."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.hierarchy import Dictionary
+from repro.hierarchy import EPS_BITS, Dictionary, bit_items
 from repro.patex import compile_patex
+from repro.desq.grid import merge_bits
 from repro.desq.rewrite import pivot_representations
-from repro.desq.simulate import generate
+from repro.desq.simulate import accepting_runs, generate
+from tests.test_generated import DATABASES, PATTERNS, hierarchies
 
 
 def pivot_share(fst, T, d, sigma, k):
@@ -27,11 +31,11 @@ class TestRunningExample:
         assert last_piv == 2
 
     def test_keys_equal_pivot_items(self, piex_fst, dex_dict, dex_encoded):
-        from repro.desq.grid import pivot_items
+        from repro.desq.grid import pivot_items_bruteforce
 
         for T in dex_encoded:
             reps = pivot_representations(piex_fst, T, dex_dict, 2)
-            assert set(reps) == pivot_items(piex_fst, T, dex_dict, 2)
+            assert set(reps) == pivot_items_bruteforce(piex_fst, T, dex_dict, 2)
 
     def test_t1_full_for_both_pivots(self, piex_fst, dex_dict, dex_encoded):
         """T1 = a1cdcb: position 1 (a1) and 5 (b) are relevant for both
@@ -93,3 +97,47 @@ class TestLastPivotPosition:
             ).items():
                 t = rho[lp]
                 assert k in dex_dict.ancestors(t)
+
+
+def reference_representations(fst, T, d, sigma):
+    """``pivot_representations`` by enumerating accepting runs. Per σ-live
+    run r, K(r) folds ``merge_bits`` over the σ-masked outputs. Each step of
+    r is relevant for every k ∈ K(r) if it changes the state, else for the
+    k ≥ min(out items); it produces k if k ∈ out. Each ρk(T) is trimmed to
+    k's relevant positions. Pivots are ordered by their first relevant
+    position, then by item."""
+    mask = d.frequent_mask(sigma)
+    relevant, producing = {}, {}
+    for run in accepting_runs(fst, T, d):
+        outs = [bits & mask for _, _, bits in run]
+        if not all(outs):
+            continue  # σ-dead: some position outputs only infrequent items
+        K = EPS_BITS
+        for o in outs:
+            K = merge_bits(K, o)
+        q = fst.initial
+        for i, ((dst, _, _), o) in enumerate(zip(run, outs), 1):
+            items = bit_items(o & -2)
+            for k in bit_items(K & -2):
+                if dst != q or (items and min(items) <= k):
+                    relevant.setdefault(k, set()).add(i)
+                if o >> k & 1:
+                    producing.setdefault(k, set()).add(i)
+            q = dst
+    firsts = sorted((min(pos), k) for k, pos in relevant.items())
+    return [
+        (k, (tuple(T[first - 1 : max(relevant[k])]), max(producing[k]) - first))
+        for first, k in firsts
+    ]
+
+
+@given(expr=PATTERNS, db=DATABASES, hierarchy=hierarchies(), sigma=st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_two_passes_equal_run_enumeration(expr, db, hierarchy, sigma):
+    """The backward/forward passes give, per sequence, exactly the per-run
+    reference's ``[(k, (ρk(T), last_pivot_pos))]``, order included."""
+    d = Dictionary.build(db, hierarchy)
+    fst = compile_patex(expr, d)
+    for T in map(d.encode, db):
+        got = list(pivot_representations(fst, T, d, sigma).items())
+        assert got == reference_representations(fst, T, d, sigma), (expr, T)
