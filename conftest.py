@@ -51,9 +51,8 @@ import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
 
-@pytest.fixture(scope="session")
-def spark() -> SparkSession:
-    """One local-mode SparkSession for the whole test session.
+def build_session() -> SparkSession:
+    """The local-mode SparkSession of the tests and of ``jobs/table.py``.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
@@ -70,8 +69,17 @@ def spark() -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
+    s.sparkContext.setLogLevel("ERROR")
+    return s
+
+
+@pytest.fixture(scope="session")
+def spark() -> SparkSession:
+    """One local-mode SparkSession for the whole test session."""
+    s = build_session()
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

@@ -21,16 +21,15 @@ def prefixspan(
     df: DataFrame,
     sigma: int,
     lam: int,
-    item_col: str = "items",
 ) -> Dict[Tuple[str, ...], int]:
     """Frequent subsequences (length ≤ λ, support ≥ σ) via MLlib.
 
-    ``df[item_col]`` holds item-string arrays; MLlib wants sequences of
+    ``df["items"]`` holds item-string arrays; MLlib wants sequences of
     itemsets, so each item becomes a singleton itemset.
     """
     n = df.count()
     seqs = df.select(
-        F.transform(F.col(item_col), lambda x: F.array(x)).alias("sequence")
+        F.transform(F.col("items"), lambda x: F.array(x)).alias("sequence")
     )
     ps = PrefixSpan(
         minSupport=sigma / n,

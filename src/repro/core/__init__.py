@@ -44,10 +44,9 @@ def mine(
     sigma: int,
     *,
     algorithm: str = "dseq",
-    item_col: str = "items",
     dictionary: Optional[Dictionary] = None,
 ) -> DataFrame:
-    """Mine frequent subsequences of ``df[item_col]`` under ``patex``/σ.
+    """Mine frequent subsequences of ``df["items"]`` under ``patex``/σ.
 
     Each algorithm runs the paper's configuration (D-SEQ with grid, rewrite
     and early stopping; D-CAND with minimised, aggregated NFAs). Returns a
@@ -58,8 +57,8 @@ def mine(
     _check_sigma(sigma)
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; use one of {tuple(ALGORITHMS)}")
-    d = dictionary or build_dictionary(spark, df, hierarchy, item_col)
-    rdd = framework.encode_rdd(df, d, item_col)
+    d = dictionary or build_dictionary(spark, df, hierarchy)
+    rdd = framework.encode_rdd(df, d)
     fst = compile_patex(patex, d)
     result = ALGORITHMS[algorithm](rdd, fst, d, sigma)
     return framework.results_to_df(spark, result.collect(), d)

@@ -23,17 +23,17 @@ def build_dictionary(
     spark: SparkSession,
     df: DataFrame,
     hierarchy: Mapping[str, Sequence[str]],
-    item_col: str = "items",
     order: Optional[Sequence[str]] = None,
 ) -> Dictionary:
-    """Spark-computed f-list → frequency-ordered :class:`Dictionary`."""
+    """Spark-computed f-list of ``df["items"]`` → frequency-ordered
+    :class:`Dictionary`."""
     closure = ancestor_closure(dict(hierarchy))
 
     def count_partition(rows):
         yield document_frequencies((row[0] for row in rows), closure)
 
     freqs = (
-        df.select(item_col).rdd.mapPartitions(count_partition)
+        df.select("items").rdd.mapPartitions(count_partition)
         .fold({}, merge_weight_dicts)
     )
     return Dictionary.build([], hierarchy, dfreq=freqs, order=order)

@@ -19,10 +19,10 @@ from repro.patex.fst import Fst
 from repro.desq.simulate import CandidateLimitExceeded
 
 
-def encode_rdd(df: DataFrame, d: Dictionary, item_col: str = "items") -> RDD:
-    """DataFrame of string-array sequences → RDD of fid tuples
+def encode_rdd(df: DataFrame, d: Dictionary) -> RDD:
+    """DataFrame of string-array sequences (column ``items``) → RDD of fid tuples
     (:meth:`Dictionary.encode`, so an unknown item raises ValueError)."""
-    return df.select(item_col).rdd.map(lambda row: d.encode(row[0]))
+    return df.select("items").rdd.map(lambda row: d.encode(row[0]))
 
 
 def results_to_df(

@@ -15,14 +15,15 @@ weights are ``{(): count}``.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from pyspark import RDD
 
 from repro.hierarchy import Dictionary
 from repro.patex.fst import Fst
 from repro.desq.simulate import generate
 from repro.core.framework import one_round
+
+# Per-sequence candidate limit; beyond it the map fails naming the sequence.
+MAX_CANDIDATES = 2_000_000
 
 
 def naive(
@@ -32,7 +33,6 @@ def naive(
     sigma: int,
     *,
     semi: bool = False,
-    max_candidates: Optional[int] = 2_000_000,
 ) -> RDD:
     """RDD of fid tuples → RDD of (subsequence, frequency), frequency ≥ σ."""
     gen_sigma = sigma if semi else None
@@ -40,7 +40,7 @@ def naive(
     def map_fn(fst_, d_, T):
         # Distinct per input sequence: support counts sequences, not
         # occurrences.
-        cands = generate(fst_, T, d_, sigma=gen_sigma, max_candidates=max_candidates)
+        cands = generate(fst_, T, d_, sigma=gen_sigma, max_candidates=MAX_CANDIDATES)
         return [(c, ()) for c in cands]
 
     def reduce_fn(fst_, d_, c, weights):

@@ -23,7 +23,8 @@ generator below produces a deterministic corpus with the same *shape*:
   :func:`zipf_sequences_raw`.
 
 Each ``*_raw`` function returns ``(sequences, hierarchy)`` as plain Python
-objects; :data:`DATASETS` names them and :func:`load` caches them.
+objects; :data:`DATASETS` names them, :func:`load` caches them and
+:func:`frame` hands them to Spark.
 """
 from __future__ import annotations
 
@@ -347,3 +348,16 @@ def load(name: str, n: int, seed: int) -> Tuple[List[List[str]], Hierarchy]:
     if key not in _CACHE:
         _CACHE[key] = DATASETS[name](n, seed)
     return _CACHE[key]
+
+
+# The seed of every corpus in Tables II–V.
+SEED = 17
+
+
+def frame(spark, name: str, n: int):
+    """Corpus ``name`` with ``n`` sequences at :data:`SEED`, as
+    ``(sequences, hierarchy, DataFrame)``; the DataFrame's one column,
+    ``items``, is what :func:`repro.core.mine` reads."""
+    seqs, hierarchy = load(name, n, SEED)
+    df = spark.createDataFrame([(s,) for s in seqs], "items array<string>")
+    return seqs, hierarchy, df

@@ -36,7 +36,7 @@ that forward pass on its own, the Fig. 5 reference.
 """
 from __future__ import annotations
 
-from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.hierarchy import EPS_BITS, EPSILON, Dictionary
 from repro.patex.fst import Fst, Step
@@ -63,29 +63,25 @@ def merge_bits(u: int, q: int) -> int:
     return (u & -(q & -q)) | (q & -(u & -u))
 
 
-class Grid(NamedTuple):
-    """``T`` and its grid edges: ``rows[i][q]`` lists the edges
-    ``(i, q) → (i+1, dst)`` as :meth:`Fst.steps` of ``T[i]`` gives them."""
-
-    T: Tuple[int, ...]
-    rows: List[Tuple[Tuple[Step, ...], ...]]
+Rows = List[Tuple[Tuple[Step, ...], ...]]
 
 
-def build_grid(fst: Fst, T: Sequence[int], d: Dictionary) -> Grid:
-    """Gather the step rows of ``T`` (memoised per item by the FST)."""
-    return Grid(tuple(T), [fst.steps(t, d) for t in T])
+def build_grid(fst: Fst, T: Sequence[int], d: Dictionary) -> Rows:
+    """The grid's edges as the step rows of ``T`` (memoised per item by the
+    FST): ``rows[i][q]`` lists the edges ``(i, q) → (i+1, dst)``."""
+    return [fst.steps(t, d) for t in T]
 
 
 def prefix_pivots(
-    grid: Grid, fst: Fst, d: Dictionary, sigma: Optional[int]
+    rows: Rows, fst: Fst, d: Dictionary, sigma: Optional[int]
 ) -> List[List[int]]:
     """Forward pass: A[i][q] = pivots of the partial runs from
     ``(0, initial)`` to (i, q) as a bitset, 0 if none is σ-live; the paper's
     K(i, q) wherever (i, q) can accept."""
     mask = d.frequent_mask(sigma)
-    A = [[0] * fst.n_states for _ in range(len(grid.rows) + 1)]
+    A = [[0] * fst.n_states for _ in range(len(rows) + 1)]
     A[0][fst.initial] = EPS_BITS
-    for i, row in enumerate(grid.rows):
+    for i, row in enumerate(rows):
         prev, cur = A[i], A[i + 1]
         for q, u in enumerate(prev):
             if u:
@@ -95,18 +91,18 @@ def prefix_pivots(
 
 
 def suffix_pivots(
-    grid: Grid, fst: Fst, d: Dictionary, sigma: Optional[int]
+    rows: Rows, fst: Fst, d: Dictionary, sigma: Optional[int]
 ) -> List[List[int]]:
     """Backward pass: B[i][q] = pivots of the partial runs from (i, q) to
     acceptance, 0 if none is σ-live; so B ≠ 0 implies (i, q) can accept."""
     mask = d.frequent_mask(sigma)
-    n = len(grid.rows)
+    n = len(rows)
     B = [[0] * fst.n_states for _ in range(n + 1)]
     for q in fst.finals:
         B[n][q] = EPS_BITS
     for i in range(n - 1, -1, -1):
         nxt, cur = B[i + 1], B[i]
-        for q, steps in enumerate(grid.rows[i]):
+        for q, steps in enumerate(rows[i]):
             for dst, _, bits in steps:
                 b = nxt[dst]
                 if b:

@@ -32,7 +32,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.hierarchy import EPS_BITS, Dictionary, bit_items
 from repro.patex.fst import Fst
-from repro.desq.grid import Grid, build_grid, suffix_pivots
+from repro.desq.grid import Rows, build_grid, suffix_pivots
 
 
 def pivot_representations(
@@ -41,7 +41,7 @@ def pivot_representations(
     d: Dictionary,
     sigma: int,
     *,
-    grid: Optional[Grid] = None,
+    grid: Optional[Rows] = None,
 ) -> Dict[int, Tuple[Tuple[int, ...], int]]:
     """Per pivot k of T: ``(ρk(T), last_pivot_pos)``.
 
@@ -50,9 +50,8 @@ def pivot_representations(
     k-capable accepting run. Returns an empty dict when T generates no
     σ-filtered candidates.
     """
-    if grid is None:
-        grid = build_grid(fst, T, d)
-    B = suffix_pivots(grid, fst, d, sigma)
+    rows = build_grid(fst, T, d) if grid is None else grid
+    B = suffix_pivots(rows, fst, d, sigma)
     if not B[0][fst.initial]:
         return {}
     mask = d.frequent_mask(sigma)
@@ -60,11 +59,11 @@ def pivot_representations(
     # One forward pass. ``a`` holds A(i, q) where A and B are non-zero; per
     # position i (1-based over T), as pivot bitsets: the pivots for which i
     # is relevant, and those that i's transition can output.
-    n = len(grid.T)
+    n = len(T)
     relevant = [0] * (n + 1)
     producing = [0] * (n + 1)
     a = {fst.initial: EPS_BITS}
-    for i, row in enumerate(grid.rows, 1):
+    for i, row in enumerate(rows, 1):
         nb, nxt, rel, prod = B[i], {}, 0, 0
         for q, u in a.items():
             for dst, _, bits in row[q]:
@@ -104,6 +103,6 @@ def pivot_representations(
 
     # Every pivot k is output by some position, so last_piv[k] exists.
     return {
-        k: (grid.T[first - 1 : last_rel[k]], last_piv[k] - first)
+        k: (tuple(T[first - 1 : last_rel[k]]), last_piv[k] - first)
         for k, first in first_rel.items()
     }

@@ -66,20 +66,26 @@ def accepting_runs(
     if not alive[0] >> fst.initial & 1:
         return
     count = 0
-    # Explicit stack of (position, state, run-so-far) to avoid recursion limits.
-    stack: List[Tuple[int, int, Tuple[Step, ...]]] = [(0, fst.initial, ())]
+    # Explicit stack of (position, state, step into it) to avoid recursion
+    # limits. ``path`` holds the run's first i steps: one shared list, so a
+    # run costs O(|T|), not the O(|T|²) of copying a tuple at every node.
+    path: List[Step] = []
+    stack: List[Tuple[int, int, Optional[Step]]] = [(0, fst.initial, None)]
     while stack:
-        i, q, run = stack.pop()
+        i, q, step = stack.pop()
+        if i:
+            del path[i - 1:]
+            path.append(step)
         if i == n:
             count += 1
             if max_runs is not None and count > max_runs:
                 raise _limit_exceeded(f"{max_runs} accepting runs", T, d)
-            yield run
+            yield tuple(path)
             continue
         nxt = alive[i + 1]
         for st in fst.step(q, T[i], d):
             if nxt >> st[0] & 1:  # st[0] is the target state
-                stack.append((i + 1, st[0], run + (st,)))
+                stack.append((i + 1, st[0], st))
 
 
 def run_output_sets(

@@ -13,7 +13,10 @@ VERB, Electr, Book, DigitalCamera, MusicInstr, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+# Per scale: the corpus size of Tables II–IV and the factor on the bench σ.
+SCALES = {"test": (150, 0.1), "bench": (3000, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -93,3 +96,13 @@ def traditional_constraints(scale: float = 1.0) -> Tuple[Constraint, ...]:
         Constraint("T2(100,1,5)", "NYT-lite", t2_expr(1, 5), s(100)),
         Constraint("T3(50,1,5)", "AMZN-F-lite", t3_expr(1, 5), s(50)),
     )
+
+
+def constraint_grid(
+    scale: str, names: Optional[Sequence[str]] = None
+) -> Tuple[int, List[Constraint]]:
+    """Tables III and IV's corpus size and constraints at ``scale``; only
+    the constraints in ``names`` when it is given."""
+    n, sig_scale = SCALES[scale]
+    grid = flexible_constraints(sig_scale) + traditional_constraints(sig_scale)
+    return n, [c for c in grid if not names or c.name in names]

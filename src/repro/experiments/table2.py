@@ -14,19 +14,8 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro import datasets
+from repro.experiments.constraints import SCALES
 from repro.hierarchy import Dictionary
-
-# Sequence-statistics SQL used by the DuckDB oracle in the tests
-# (over an exploded (seq_id, n_items, item) relation).
-SEQSTATS_ORACLE_SQL = """
-    SELECT
-        COUNT(DISTINCT seq_id)              AS total_sequences,
-        SUM(n_items) / COUNT(*)             AS total_items_chk,
-        COUNT(DISTINCT item)                AS unique_items
-    FROM exploded
-"""
-
-SCALES = {"test": 150, "bench": 3000}
 
 
 def sequence_stats(df: DataFrame) -> Dict[str, float]:
@@ -63,19 +52,15 @@ def hierarchy_stats(d: Dictionary) -> Dict[str, float]:
     }
 
 
-def run(spark: SparkSession, scale: str = "bench", seed: int = 17) -> List[Dict]:
+def run(spark: SparkSession, scale: str = "bench") -> List[Dict]:
     """One row per lite dataset, Table II's columns."""
-    n = SCALES[scale]
+    n, _ = SCALES[scale]
     rows: List[Dict] = []
-    for name, gen in datasets.DATASETS.items():
-        seqs, hierarchy = gen(n, seed)
-        df = spark.createDataFrame(
-            [(i, s) for i, s in enumerate(seqs)], "seq_id long, items array<string>"
-        )
-        d = Dictionary.build(seqs, hierarchy)
+    for name in datasets.DATASETS:
+        seqs, hierarchy, df = datasets.frame(spark, name, n)
         row = {"dataset": name}
         row.update(sequence_stats(df))
-        row.update(hierarchy_stats(d))
+        row.update(hierarchy_stats(Dictionary.build(seqs, hierarchy)))
         rows.append(row)
     return rows
 

@@ -2,7 +2,7 @@
 
 For every constraint of the paper's Tab. III (N1-N5 text mining, A1-A4
 recommendation, T1-T3 traditional), run the full D-SEQ stack on the lite
-dataset and report the top frequent sequences with their supports — the
+dataset and report the three most frequent sequences with their supports — the
 analogue of the paper's "Example frequent sequences (with support)" column.
 """
 from __future__ import annotations
@@ -14,30 +14,13 @@ from pyspark.sql import SparkSession
 
 from repro import datasets
 from repro.core import mine
-from repro.experiments.constraints import (
-    Constraint,
-    flexible_constraints,
-    traditional_constraints,
-)
-
-SCALES = {"test": (150, 0.1), "bench": (3000, 1.0)}
+from repro.experiments.constraints import Constraint, constraint_grid
 
 
-def run_constraint(
-    spark: SparkSession,
-    c: Constraint,
-    n: int,
-    seed: int = 17,
-    *,
-    algorithm: str = "dseq",
-    top: int = 3,
-) -> Dict:
-    seqs, hierarchy = datasets.DATASETS[c.dataset](n, seed)
-    df = spark.createDataFrame(
-        [(i, s) for i, s in enumerate(seqs)], "seq_id long, items array<string>"
-    )
+def run_constraint(spark: SparkSession, c: Constraint, n: int) -> Dict:
+    _, hierarchy, df = datasets.frame(spark, c.dataset, n)
     t0 = time.perf_counter()
-    out = mine(spark, df, hierarchy, c.expr, c.sigma, algorithm=algorithm)
+    out = mine(spark, df, hierarchy, c.expr, c.sigma)
     collected = sorted(
         ((r["pattern"], int(r["support"])) for r in out.collect()),
         key=lambda kv: (-kv[1], kv[0]),
@@ -48,26 +31,16 @@ def run_constraint(
         "dataset": c.dataset,
         "sigma": c.sigma,
         "n_frequent": len(collected),
-        "examples": collected[:top],
+        "examples": collected[:3],
         "seconds": elapsed,
     }
 
 
 def run(
-    spark: SparkSession,
-    scale: str = "bench",
-    seed: int = 17,
-    *,
-    names: Optional[List[str]] = None,
+    spark: SparkSession, scale: str = "bench", *, names: Optional[List[str]] = None
 ) -> List[Dict]:
-    n, sig_scale = SCALES[scale]
-    rows = []
-    grid = flexible_constraints(sig_scale) + traditional_constraints(sig_scale)
-    for c in grid:
-        if names and c.name not in names:
-            continue
-        rows.append(run_constraint(spark, c, n, seed))
-    return rows
+    n, grid = constraint_grid(scale, names)
+    return [run_constraint(spark, c, n) for c in grid]
 
 
 def format_rows(rows: List[Dict]) -> str:

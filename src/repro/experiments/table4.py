@@ -19,28 +19,14 @@ from repro import datasets
 from repro.core.flist import build_dictionary
 from repro.core.framework import encode_rdd
 from repro.desq.simulate import CandidateLimitExceeded, generate
-from repro.experiments.constraints import (
-    Constraint,
-    flexible_constraints,
-    traditional_constraints,
-)
+from repro.experiments.constraints import Constraint, constraint_grid
 from repro.patex import compile_patex
-
-SCALES = {"test": (150, 0.1), "bench": (3000, 1.0)}
 
 
 def candidate_stats(
-    spark: SparkSession,
-    c: Constraint,
-    n: int,
-    seed: int = 17,
-    *,
-    cap: int = 100_000,
+    spark: SparkSession, c: Constraint, n: int, *, cap: int = 100_000
 ) -> Dict:
-    seqs, hierarchy = datasets.DATASETS[c.dataset](n, seed)
-    df = spark.createDataFrame(
-        [(i, s) for i, s in enumerate(seqs)], "seq_id long, items array<string>"
-    )
+    _, hierarchy, df = datasets.frame(spark, c.dataset, n)
     d = build_dictionary(spark, df, hierarchy)
     fst = compile_patex(c.expr, d)
     sc = spark.sparkContext
@@ -76,20 +62,10 @@ def candidate_stats(
 
 
 def run(
-    spark: SparkSession,
-    scale: str = "bench",
-    seed: int = 17,
-    *,
-    names: Optional[List[str]] = None,
+    spark: SparkSession, scale: str = "bench", *, names: Optional[List[str]] = None
 ) -> List[Dict]:
-    n, sig_scale = SCALES[scale]
-    grid = flexible_constraints(sig_scale) + traditional_constraints(sig_scale)
-    rows = []
-    for c in grid:
-        if names and c.name not in names:
-            continue
-        rows.append(candidate_stats(spark, c, n, seed))
-    return rows
+    n, grid = constraint_grid(scale, names)
+    return [candidate_stats(spark, c, n) for c in grid]
 
 
 def format_rows(rows: List[Dict]) -> str:

@@ -59,12 +59,9 @@ def configs(scale: str) -> List[Constraint]:
     return out
 
 
-def run_config(spark: SparkSession, c: Constraint, n: int, seed: int = 17) -> Dict:
-    seqs, hierarchy = datasets.load(c.dataset, n, seed)
-    df = spark.createDataFrame(
-        [(i, s) for i, s in enumerate(seqs)], "seq_id long, items array<string>"
-    ).cache()
-    df.count()
+def run_config(spark: SparkSession, c: Constraint, n: int) -> Dict:
+    seqs, hierarchy, df = datasets.frame(spark, c.dataset, n)
+    df.cache().count()
     # The dictionary is preprocessing in the paper; build it once, outside
     # all timed regions.
     d = build_dictionary(spark, df, hierarchy)
@@ -104,18 +101,13 @@ def run_config(spark: SparkSession, c: Constraint, n: int, seed: int = 17) -> Di
 
 
 def run(
-    spark: SparkSession,
-    scale: str = "bench",
-    seed: int = 17,
-    *,
-    names: Optional[List[str]] = None,
+    spark: SparkSession, scale: str = "bench", *, names: Optional[List[str]] = None
 ) -> List[Dict]:
-    rows = []
-    for c in configs(scale):
-        if names and c.name not in names:
-            continue
-        rows.append(run_config(spark, c, SCALES[scale][c.dataset], seed))
-    return rows
+    return [
+        run_config(spark, c, SCALES[scale][c.dataset])
+        for c in configs(scale)
+        if not names or c.name in names
+    ]
 
 
 def format_rows(rows: List[Dict]) -> str:

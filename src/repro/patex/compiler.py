@@ -272,8 +272,7 @@ def compile_patex(expr: Union[str, A.Node], d: Dictionary) -> Fst:
 
     sorted_trans = sorted(trans, key=lambda t: (remap[t[0]], remap[t[3]], t[1], t[2]))
     transitions = tuple(
-        Transition(i, remap[a], m, o, remap[b])
-        for i, (a, m, o, b) in enumerate(sorted_trans)
+        Transition(remap[a], m, o, remap[b]) for a, m, o, b in sorted_trans
     )
     fst_finals = frozenset(remap[q] for q in finals if q in remap)
     return Fst(

@@ -35,9 +35,8 @@ Step = Tuple[int, Tuple[int, ...], int]
 
 @dataclass(frozen=True)
 class Transition:
-    """One FST transition δ = (src, in, out, dst); ``idx`` is its number."""
+    """One FST transition δ = (src, in, out, dst)."""
 
-    idx: int
     src: int
     matcher: Tuple
     output: Tuple

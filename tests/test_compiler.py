@@ -192,6 +192,26 @@ class TestGuards:
         with pytest.raises(CandidateLimitExceeded, match="more than 5 accepting runs for " + named):
             list(accepting_runs(fst, T, d, max_runs=5))
 
+    def test_run_enumeration_is_linear(self, d):
+        """Table II's sequences run to 21k–44k items: the one run of a
+        4×-longer ``(b)+`` input costs about 4× (copying the run at every
+        search node would cost about 16×)."""
+        import time
+
+        fst = compile_patex("(b)+", d)
+
+        def seconds(n):
+            T = d.encode(["b"] * n)
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.process_time()
+                [run] = accepting_runs(fst, T, d)
+                best = min(best, time.process_time() - t0)
+            assert len(run) == n
+            return best
+
+        assert seconds(40_000) / seconds(10_000) < 8
+
     def test_fst_is_picklable(self, d):
         import pickle
 
