@@ -3,12 +3,23 @@
 Usage: python jobs/table.py {2,3,4,5} [test|bench] [constraint ...]
 
 Prints the table's rows at the given scale (default: bench). Constraint
-names, e.g. ``N4`` or ``T2(100,0,5)``, restrict Tables III–V to those rows.
+names, e.g. ``N4`` or ``T2(100,0,5)``, restrict Tables III–V to those rows;
+a name that is not one of the table's rows is a usage error.
 """
 import importlib
 import sys
 
 USAGE = "usage: python jobs/table.py {2,3,4,5} [test|bench] [constraint ...]"
+
+
+def row_names(table, number: str, scale: str):
+    """The constraint names of the table's rows at ``scale`` (none for Table II)."""
+    from repro.experiments.constraints import constraint_grid
+
+    if number == "2":
+        return []
+    grid = table.configs(scale) if number == "5" else constraint_grid(scale)[1]
+    return [c.name for c in grid]
 
 
 def main(argv) -> int:
@@ -21,6 +32,12 @@ def main(argv) -> int:
     from _session import build_session  # sets PYTHONPATH before the JVM starts
 
     table = importlib.import_module(f"repro.experiments.table{number}")
+    valid = row_names(table, number, scale)
+    unknown = [x for x in names or () if x not in valid]
+    if unknown:
+        print(f"{USAGE}\ntable {number} has no row {' '.join(unknown)}; its rows are:"
+              f" {' '.join(valid) or '(none)'}", file=sys.stderr)
+        return 2
     spark = build_session()
     try:
         if number == "2":

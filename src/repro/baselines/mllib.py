@@ -25,14 +25,15 @@ def prefixspan(
     """Frequent subsequences (length ≤ λ, support ≥ σ) via MLlib.
 
     ``df["items"]`` holds item-string arrays; MLlib wants sequences of
-    itemsets, so each item becomes a singleton itemset.
+    itemsets, so each item becomes a singleton itemset. MLlib's count
+    threshold is ``ceil(minSupport · n)``; σ − ½ makes it exactly σ.
     """
     n = df.count()
     seqs = df.select(
         F.transform(F.col("items"), lambda x: F.array(x)).alias("sequence")
     )
     ps = PrefixSpan(
-        minSupport=sigma / n,
+        minSupport=(sigma - 0.5) / n,
         maxPatternLength=lam,
         maxLocalProjDBSize=32_000_000,
     )

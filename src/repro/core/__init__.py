@@ -3,7 +3,7 @@
 ``mine(spark, df, hierarchy, patex, sigma, algorithm=...)`` runs the full
 pipeline — Spark f-list (unless a Dictionary is supplied), pattern
 expression compilation, encoding, one of the four distributed algorithms,
-and result materialization as a DataFrame(pattern, support).
+and decoding on the executors into a lazy DataFrame(pattern, support).
 
 ``mine_sequential`` runs DESQ-DFS on the driver (the Table V baseline).
 """
@@ -50,9 +50,10 @@ def mine(
 
     Each algorithm runs the paper's configuration (D-SEQ with grid, rewrite
     and early stopping; D-CAND with minimised, aggregated NFAs). Returns a
-    DataFrame with columns ``pattern`` (space-joined item names) and
-    ``support``. Raises ValueError for σ < 1, an unknown algorithm, or an
-    item that ``dictionary`` lacks.
+    lazy DataFrame(pattern: space-joined item names, support): each action
+    runs the round as one Spark job and mines again, so cache it to read it
+    twice. Raises ValueError for σ < 1 or an unknown algorithm; an item
+    that ``dictionary`` lacks fails the first action.
     """
     _check_sigma(sigma)
     if algorithm not in ALGORITHMS:
@@ -61,7 +62,7 @@ def mine(
     rdd = framework.encode_rdd(df, d)
     fst = compile_patex(patex, d)
     result = ALGORITHMS[algorithm](rdd, fst, d, sigma)
-    return framework.results_to_df(spark, result.collect(), d)
+    return framework.results_to_df(spark, result, d)
 
 
 def mine_sequential(

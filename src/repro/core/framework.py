@@ -3,7 +3,7 @@
 All four algorithms (NAÏVE, SEMI-NAÏVE, D-SEQ, D-CAND) are one
 map → shuffle → reduce round, :func:`one_round`, and differ only in the map
 and reduce functions they pass to it. Around the skeleton: encoding
-sequence DataFrames into RDDs of fid tuples, materializing results as
+sequence DataFrames into RDDs of fid tuples, decoding results into lazy
 DataFrames, and counting shuffles in an RDD lineage.
 """
 from __future__ import annotations
@@ -12,7 +12,6 @@ from typing import Callable, Dict, List, Tuple
 
 from pyspark import RDD
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import LongType, StringType, StructField, StructType
 
 from repro.hierarchy import Dictionary
 from repro.patex.fst import Fst
@@ -26,17 +25,15 @@ def encode_rdd(df: DataFrame, d: Dictionary) -> RDD:
 
 
 def results_to_df(
-    spark: SparkSession, results: List[Tuple[Tuple[int, ...], int]], d: Dictionary
+    spark: SparkSession, results: RDD | List[Tuple[Tuple[int, ...], int]], d: Dictionary
 ) -> DataFrame:
-    """[(fid tuple, support)] → DataFrame(pattern: string, support: long)."""
-    schema = StructType(
-        [
-            StructField("pattern", StringType(), False),
-            StructField("support", LongType(), False),
-        ]
-    )
-    rows = [(d.decode_str(seq), int(f)) for seq, f in results]
-    return spark.createDataFrame(rows, schema)
+    """(fid tuple, support) pairs → lazy DataFrame(pattern: string, support:
+    long). An RDD is decoded where its pairs are computed, in the same job as
+    the first action on the DataFrame; a list is parallelized first."""
+    if not isinstance(results, RDD):
+        results = spark.sparkContext.parallelize(results)
+    rows = results.map(lambda r: (d.decode_str(r[0]), int(r[1])))
+    return spark.createDataFrame(rows, "pattern string not null, support bigint not null")
 
 
 def count_shuffles(rdd: RDD) -> int:

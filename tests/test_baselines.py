@@ -1,5 +1,6 @@
 """Baseline oracles: gap miner vs the general FST stack; MLlib PrefixSpan
 vs the T1 pattern expression."""
+import math
 import random
 
 import pandas as pd
@@ -11,7 +12,7 @@ from repro.baselines.mllib import prefixspan
 from repro.core import mine, mine_sequential
 from repro.desq.dfs import mine as dfs_mine
 from repro.desq.simulate import generate
-from repro.experiments.constraints import t2_expr, t3_expr
+from repro.experiments.constraints import t1_expr, t2_expr, t3_expr
 from repro.hierarchy import Dictionary
 from repro.patex import compile_patex
 from tests.test_generated import DATABASES, hierarchies
@@ -101,3 +102,42 @@ class TestPrefixSpan:
         out = mine(spark, df, {}, expr, sigma, algorithm="dseq")
         got = {tuple(r["pattern"].split(" ")): r["support"] for r in out.collect()}
         assert got == ps
+
+    def test_threshold_is_exactly_sigma(self, spark):
+        """σ = 7 of n = 25: 7 / 25 · 25 is 7.000000000000001 in floating
+        point, so a relative support of σ / n would make MLlib's count
+        threshold 8 and drop the three patterns of support 7."""
+        df = spark.createDataFrame([(["a", "b"],)] * 7 + [(["c"],)] * 18, "items array<string>")
+        assert prefixspan(spark, df, 7, 2) == {
+            ("a",): 7, ("b",): 7, ("a", "b"): 7, ("c",): 18,
+        }
+
+
+# MLlib takes a relative support and counts ceil(minSupport · n); in these
+# (σ, n) pairs σ / n · n rounds above σ in floating point.
+ROUNDING_PAIRS = [(s, n) for n in range(2, 41) for s in range(1, n + 1)
+                  if math.ceil(s / n * n) != s]
+
+
+@st.composite
+def t1_instances(draw):
+    """(σ, database) for T1. (σ, n) is one of ROUNDING_PAIRS or has n in
+    2–40 and σ in 1–n/3. The database is σ copies of a sequence over
+    {a, b}, whose patterns have support exactly σ, and n − σ sequences
+    over {c, d, e}."""
+    sigma, n = draw(st.one_of(
+        st.sampled_from(ROUNDING_PAIRS),
+        st.integers(2, 40).flatmap(lambda n: st.tuples(st.integers(1, max(1, n // 3)), st.just(n))),
+    ))
+    at_sigma = draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=4))
+    rest = st.lists(st.sampled_from("cde"), min_size=1, max_size=5)
+    return sigma, [at_sigma] * sigma + draw(st.lists(rest, min_size=n - sigma, max_size=n - sigma))
+
+
+@given(instance=t1_instances(), lam=st.integers(2, 4))
+@settings(max_examples=8, derandomize=True, deadline=None)
+def test_prefixspan_equals_generated_t1(spark, instance, lam):
+    """MLlib PrefixSpan == DESQ-DFS on T1(σ, λ) without hierarchy."""
+    sigma, db = instance
+    df = spark.createDataFrame([(s,) for s in db], "items array<string>")
+    assert prefixspan(spark, df, sigma, lam) == mine_sequential(db, {}, t1_expr(lam), sigma)

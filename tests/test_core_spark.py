@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 from hypothesis import given, settings, strategies as st
 from py4j.protocol import Py4JJavaError
+from pyspark.sql import DataFrame
 
 from repro import datasets, oracle
 from repro.core import ALGORITHMS, mine, mine_sequential
@@ -221,6 +222,21 @@ class TestFacade:
         with pytest.raises(ValueError):
             mine(spark, dex_df, HIER, PIEX, 2, algorithm="bogus")
 
+    @pytest.mark.parametrize("algo", ["naive", "semi_naive", "dseq", "dcand"])
+    def test_one_job_per_action(self, spark, dex_df, dex_dict, algo):
+        """With a Dictionary supplied, ``mine()`` runs no Spark job, and
+        collecting its DataFrame runs one: Alg. 1's round with the patterns
+        decoded in its reduce stage, and no driver round trip."""
+        sc = spark.sparkContext
+        group = f"one-job-{algo}"
+        sc.setJobGroup(group, algo)
+        try:
+            rows = mine(spark, dex_df, HIER, PIEX, 2, algorithm=algo, dictionary=dex_dict).collect()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert {r["pattern"]: r["support"] for r in rows} == EXPECTED
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
+
     def test_mine_sequential_names(self):
         res = mine_sequential(DEX, HIER, PIEX, 2)
         assert {" ".join(p): f for p, f in res.items()} == EXPECTED
@@ -244,11 +260,14 @@ class TestEdgeInputs:
     def test_unknown_item_is_named(self, spark, dex_dict):
         """An item that the supplied Dictionary lacks fails the encoding with
         a ValueError that names the item (raised on an executor, so the
-        driver sees it inside Spark's job failure)."""
+        driver sees it inside Spark's job failure). ``mine()`` returns a lazy
+        DataFrame, so the error comes at its first action."""
         df = spark.createDataFrame([(DEX[0] + ["zzz"],)] * 2, "items array<string>")
+        out = mine(spark, df, HIER, PIEX, 2, dictionary=dex_dict)
+        assert isinstance(out, DataFrame)
         with pytest.raises(Py4JJavaError, match=r"ValueError: item 'zzz' is not in the dictionary"
                                                 r" \(input partition \d+, record 0\)"):
-            mine(spark, df, HIER, PIEX, 2, dictionary=dex_dict)
+            out.collect()
 
     def test_map_error_names_partition_and_record(self, spark):
         """A map-side limit error names the input partition and the offset

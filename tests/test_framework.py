@@ -40,3 +40,13 @@ class TestSparkPlumbing:
         assert row["pattern"] == f"{d.name(1)} {d.name(2)}"
         assert row["support"] == 3
         assert dict(df.dtypes) == {"pattern": "string", "support": "bigint"}
+
+    def test_results_to_df_rdd_equals_list(self, spark):
+        """An RDD of (fid tuple, support) pairs and the same pairs as a list
+        give the same schema and rows."""
+        d = Dictionary.build([["x", "y", "z"]], {})
+        pairs = [((1, 2), 3), ((3,), 1), ((2, 2, 1), 5)]
+        from_list = results_to_df(spark, pairs, d)
+        from_rdd = results_to_df(spark, spark.sparkContext.parallelize(pairs, 2), d)
+        assert from_rdd.schema == from_list.schema
+        assert sorted(from_rdd.collect()) == sorted(from_list.collect())

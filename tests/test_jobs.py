@@ -40,3 +40,19 @@ def test_unknown_table_is_a_usage_error():
         assert p.returncode != 0
         assert p.stderr.startswith("usage: python jobs/table.py")
         assert p.stdout == ""
+
+
+def test_unknown_constraint_is_a_usage_error():
+    """A constraint name that is none of the table's rows exits 2 with the
+    usage line and the valid rows, before a Spark session starts (which
+    would log to standard error)."""
+    for args, rows in ((("3", "test", "XYZ"), "N1 N2 N3 N4 N5 A1"),
+                       (("4", "test", "N4", "T2(100,0,5)"), "T2(100,1,5) T3(50,1,5)"),
+                       (("5", "test", "N4", "T2(100,1,5)"), "N4 N5 T3(100,1,5)"),
+                       (("2", "test", "N4"), "(none)")):
+        p = _run(*args)
+        assert p.returncode == 2, args
+        usage, message = p.stderr.splitlines()
+        assert usage.startswith("usage: python jobs/table.py"), args
+        assert message.startswith(f"table {args[0]} has no row") and rows in message, args
+        assert p.stdout == "", args
