@@ -12,14 +12,17 @@ import sys
 USAGE = "usage: python jobs/table.py {2,3,4,5} [test|bench] [constraint ...]"
 
 
-def row_names(table, number: str, scale: str):
-    """The constraint names of the table's rows at ``scale`` (none for Table II)."""
-    from repro.experiments.constraints import constraint_grid
+def check_names(table, number: str, scale: str, names) -> None:
+    """Raise ValueError, naming the valid rows, for a name that is not one of
+    the table's rows at ``scale`` (Table II has none)."""
+    from repro.experiments.constraints import constraint_grid, select
 
     if number == "2":
-        return []
-    grid = table.configs(scale) if number == "5" else constraint_grid(scale)[1]
-    return [c.name for c in grid]
+        select([], names)
+    elif number == "5":
+        table.configs(scale, names)
+    else:
+        constraint_grid(scale, names)
 
 
 def main(argv) -> int:
@@ -32,11 +35,10 @@ def main(argv) -> int:
     from _session import build_session  # sets PYTHONPATH before the JVM starts
 
     table = importlib.import_module(f"repro.experiments.table{number}")
-    valid = row_names(table, number, scale)
-    unknown = [x for x in names or () if x not in valid]
-    if unknown:
-        print(f"{USAGE}\ntable {number} has no row {' '.join(unknown)}; its rows are:"
-              f" {' '.join(valid) or '(none)'}", file=sys.stderr)
+    try:
+        check_names(table, number, scale, names)
+    except ValueError as e:
+        print(f"{USAGE}\ntable {number} has {e}", file=sys.stderr)
         return 2
     spark = build_session()
     try:

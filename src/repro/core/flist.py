@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.framework import merge_weight_dicts
+from repro.core.framework import merge_weight_dicts, prune_zip_importers
 from repro.hierarchy import Dictionary, ancestor_closure, document_frequencies
 
 
@@ -30,6 +30,7 @@ def build_dictionary(
     closure = ancestor_closure(dict(hierarchy))
 
     def count_partition(rows):
+        prune_zip_importers()
         yield document_frequencies((row[0] for row in rows), closure)
 
     freqs = (

@@ -5,9 +5,19 @@ map → shuffle → reduce round, :func:`one_round`, and differ only in the map
 and reduce functions they pass to it. Around the skeleton: encoding
 sequence DataFrames into RDDs of fid tuples, decoding results into lazy
 DataFrames, and counting shuffles in an RDD lineage.
+
+Every Python task the library launches (the skeleton's map and reduce, the
+f-list's count) starts with :func:`prune_zip_importers`. PySpark calls
+``importlib.invalidate_caches()`` at the start of each task, and on CPython
+< 3.13 that makes every cached ``zipimporter`` re-read its whole archive
+index (a worker holds 16 over ``pyspark.zip``). Pruning leaves the next task
+nothing to re-read; from CPython 3.13 the re-read is lazy and pruning saves
+nothing (DESIGN.md §3).
 """
 from __future__ import annotations
 
+import sys
+import zipimport
 from typing import Callable, Dict, List, Tuple
 
 from pyspark import RDD
@@ -16,6 +26,19 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.hierarchy import Dictionary
 from repro.patex.fst import Fst
 from repro.desq.simulate import CandidateLimitExceeded
+
+
+def prune_zip_importers() -> None:
+    """Drop the ``zipimporter`` entries of ``sys.path_importer_cache``.
+
+    Python's ``PathFinder`` recreates an entry on the next import that needs
+    it (from ``zipimport``'s per-archive index cache, without re-reading the
+    archive), so imports behave as before; the next
+    ``importlib.invalidate_caches()`` has no archive index to re-read.
+    """
+    cache = sys.path_importer_cache
+    for path in [p for p, f in cache.items() if isinstance(f, zipimport.zipimporter)]:
+        del cache[path]
 
 
 def encode_rdd(df: DataFrame, d: Dictionary) -> RDD:
@@ -76,6 +99,7 @@ def one_round(
     bc = seq_rdd.context.broadcast((fst, d))
 
     def map_phase(index, records):
+        prune_zip_importers()
         fst_, d_ = bc.value
         offset = 0  # records consumed, so also the failing record's offset
         try:
@@ -85,10 +109,13 @@ def one_round(
         except (CandidateLimitExceeded, ValueError) as e:
             raise type(e)(f"{e} (input partition {index}, record {offset})") from e
 
-    def reduce_phase(kv):
-        return reduce_fn(*bc.value, *kv)
+    def reduce_phase(groups):
+        prune_zip_importers()
+        fst_, d_ = bc.value
+        for key, weights in groups:
+            yield from reduce_fn(fst_, d_, key, weights)
 
     partitions = seq_rdd.mapPartitionsWithIndex(map_phase).combineByKey(
         lambda rep: {rep: 1}, _add_rep, merge_weight_dicts
     )
-    return partitions.flatMap(reduce_phase)
+    return partitions.mapPartitions(reduce_phase)

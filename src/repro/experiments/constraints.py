@@ -98,11 +98,25 @@ def traditional_constraints(scale: float = 1.0) -> Tuple[Constraint, ...]:
     )
 
 
+def select(
+    grid: Sequence[Constraint], names: Optional[Sequence[str]] = None
+) -> List[Constraint]:
+    """The rows of ``grid`` named in ``names``; all of them when it is not
+    given. Raises ValueError, naming the valid rows, for a name that
+    matches no row."""
+    valid = [c.name for c in grid]
+    unknown = [x for x in names or () if x not in valid]
+    if unknown:
+        raise ValueError(f"no row {' '.join(unknown)}; its rows are:"
+                         f" {' '.join(valid) or '(none)'}")
+    return [c for c in grid if not names or c.name in names]
+
+
 def constraint_grid(
     scale: str, names: Optional[Sequence[str]] = None
 ) -> Tuple[int, List[Constraint]]:
     """Tables III and IV's corpus size and constraints at ``scale``; only
-    the constraints in ``names`` when it is given."""
+    the constraints in ``names`` when it is given (see :func:`select`)."""
     n, sig_scale = SCALES[scale]
     grid = flexible_constraints(sig_scale) + traditional_constraints(sig_scale)
-    return n, [c for c in grid if not names or c.name in names]
+    return n, select(grid, names)

@@ -16,14 +16,16 @@ every row — a timing table that silently diverged would be worthless.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from pyspark.sql import SparkSession
 
 from repro import datasets
 from repro.core import mine, mine_sequential
 from repro.core.flist import build_dictionary
-from repro.experiments.constraints import Constraint, N_EXPRS, t2_expr, t3_expr
+from repro.experiments.constraints import (
+    Constraint, N_EXPRS, select, t2_expr, t3_expr,
+)
 
 # Per-dataset corpus sizes. The bench sizes are chosen so that sequential
 # DESQ-DFS needs tens of seconds per row — below that, Spark's fixed job
@@ -36,8 +38,10 @@ SCALES = {
 _BENCH_N = SCALES["bench"]
 
 
-def configs(scale: str) -> List[Constraint]:
-    """Table V's row grid with σ rescaled to the corpus size.
+def configs(scale: str, names: Optional[Sequence[str]] = None) -> List[Constraint]:
+    """Table V's row grid with σ rescaled to the corpus size; only the rows
+    in ``names`` when it is given (a name that matches no row raises
+    ValueError, see :func:`constraints.select`).
 
     Bench σ values mirror the paper's low/high-σ pairs at ~0.15-0.8%%
     relative support.
@@ -56,7 +60,7 @@ def configs(scale: str) -> List[Constraint]:
         n = SCALES[scale][ds]
         sigma = max(2, round(bench_sigma * n / _BENCH_N[ds]))
         out.append(Constraint(name, ds, expr, sigma))
-    return out
+    return select(out, names)
 
 
 def run_config(spark: SparkSession, c: Constraint, n: int) -> Dict:
@@ -103,11 +107,8 @@ def run_config(spark: SparkSession, c: Constraint, n: int) -> Dict:
 def run(
     spark: SparkSession, scale: str = "bench", *, names: Optional[List[str]] = None
 ) -> List[Dict]:
-    return [
-        run_config(spark, c, SCALES[scale][c.dataset])
-        for c in configs(scale)
-        if not names or c.name in names
-    ]
+    return [run_config(spark, c, SCALES[scale][c.dataset])
+            for c in configs(scale, names)]
 
 
 def format_rows(rows: List[Dict]) -> str:

@@ -294,9 +294,9 @@ class TestEdgeInputs:
 
     @pytest.mark.parametrize("algo", ["dseq", "dcand"])
     def test_long_sequences(self, spark, algo):
-        """An output pattern 20 000 items long (the order of Table II's
-        maximum sequence lengths) is mined on executors without hitting the
-        interpreter's recursion limit."""
-        df = spark.createDataFrame([(["a"] * 20000,)] * 2, "items array<string>")
+        """An output pattern 44 000 items long (Table II's maximum sequence
+        length) is mined on executors without hitting the interpreter's
+        recursion limit."""
+        df = spark.createDataFrame([(["a"] * 44000,)] * 2, "items array<string>")
         out = mine(spark, df, {}, "(a)+", 2, algorithm=algo).collect()
-        assert [(r["pattern"], r["support"]) for r in out] == [(" ".join(["a"] * 20000), 2)]
+        assert [(r["pattern"], r["support"]) for r in out] == [(" ".join(["a"] * 44000), 2)]

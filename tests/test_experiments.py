@@ -7,6 +7,7 @@ from repro import oracle
 from repro.datasets import load, nyt_lite_raw
 from repro.experiments import table2, table3, table4, table5
 from repro.experiments.constraints import (
+    constraint_grid,
     flexible_constraints,
     traditional_constraints,
 )
@@ -30,6 +31,18 @@ class TestConstraintsRegistry:
         for a, b in zip(lo, hi):
             assert a.sigma <= b.sigma
             assert a.sigma >= 2
+
+    def test_grid_selects_named_rows(self):
+        n, grid = constraint_grid("test", ["T3(50,1,5)", "N4"])
+        assert n == 150
+        assert [c.name for c in grid] == ["N4", "T3(50,1,5)"]
+        assert len(constraint_grid("test")[1]) == 12
+
+    def test_grid_rejects_unknown_name(self):
+        """A name in no row raises and names the valid rows, instead of
+        returning an empty selection."""
+        with pytest.raises(ValueError, match=r"no row XYZ; .*N1 N2 .*T3\(50,1,5\)"):
+            constraint_grid("test", ["N4", "XYZ"])
 
 
 class TestTable2:
@@ -138,6 +151,17 @@ class TestTable5:
         assert [c.name for c in test_cfg] == [c.name for c in bench_cfg]
         for t, b in zip(test_cfg, bench_cfg):
             assert t.sigma <= b.sigma
+
+    def test_configs_select_named_rows(self):
+        assert [c.name for c in table5.configs("test", ["N5", "N4"])] == ["N4", "N5"]
+
+    def test_unknown_name_raises(self, spark):
+        """Table V's grid rejects a name in no row (here a Table III row
+        name) before mining anything, for configs and for run."""
+        with pytest.raises(ValueError, match=r"no row T2\(100,1,5\); .*N4 N5 "):
+            table5.configs("test", ["T2(100,1,5)"])
+        with pytest.raises(ValueError, match="no row XYZ"):
+            table5.run(spark, "test", names=["XYZ"])
 
     def test_format(self, spark):
         rows = table5.run(spark, "test", names=["T2(300,0,5)"])

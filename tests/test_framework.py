@@ -4,6 +4,7 @@ import pandas as pd
 from repro.core.framework import (
     encode_rdd,
     merge_weight_dicts,
+    one_round,
     results_to_df,
 )
 from repro.hierarchy import Dictionary
@@ -50,3 +51,33 @@ class TestSparkPlumbing:
         from_rdd = results_to_df(spark, spark.sparkContext.parallelize(pairs, 2), d)
         assert from_rdd.schema == from_list.schema
         assert sorted(from_rdd.collect()) == sorted(from_list.collect())
+
+    def test_tasks_prune_zip_importers(self, spark):
+        """The skeleton's map and reduce tasks start by dropping their
+        worker's cached zip importers, so PySpark's per-task
+        ``importlib.invalidate_caches()`` re-reads no archive index. The map
+        then looks up a missing module, which recreates the importers of
+        ``sys.path``'s zips as any import on a worker may, so the reduce
+        must drop them itself. Where the workers do not import pyspark from
+        a zip, there are none to drop and the test passes trivially."""
+
+        def zip_importers():
+            import sys
+            import zipimport
+
+            return sum(isinstance(f, zipimport.zipimporter)
+                       for f in sys.path_importer_cache.values())
+
+        def map_fn(fst, d, T):
+            from importlib.machinery import PathFinder
+
+            yield zip_importers(), T
+            PathFinder.find_spec("no_such_module")
+
+        def reduce_fn(fst, d, key, weights):
+            yield key, zip_importers()
+
+        seqs = spark.sparkContext.parallelize(range(4), 4)  # a record per task
+        for _ in range(2):  # the second job runs on the reused workers
+            counts = one_round(seqs, None, None, map_fn, reduce_fn).collect()
+            assert counts == [(0, 0)]
