@@ -94,7 +94,8 @@ def one_round(
     is broadcast once for both phases. Identical reps are merged into
     weights map-side by ``combineByKey``, the paper's combine function.
     A map-side :class:`CandidateLimitExceeded` or ValueError is re-raised
-    with the input partition index and the record's offset in it.
+    with the input partition index and the record's offset in it; a
+    reduce-side one with the key (the pivot) and its number of records.
     """
     bc = seq_rdd.context.broadcast((fst, d))
 
@@ -113,7 +114,10 @@ def one_round(
         prune_zip_importers()
         fst_, d_ = bc.value
         for key, weights in groups:
-            yield from reduce_fn(fst_, d_, key, weights)
+            try:
+                yield from reduce_fn(fst_, d_, key, weights)
+            except (CandidateLimitExceeded, ValueError) as e:
+                raise type(e)(f"{e} (pivot {key}, {sum(weights.values())} records)") from e
 
     partitions = seq_rdd.mapPartitionsWithIndex(map_phase).combineByKey(
         lambda rep: {rep: 1}, _add_rep, merge_weight_dicts

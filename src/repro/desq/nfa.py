@@ -7,7 +7,8 @@ the candidate subsequences as a finite language accepted by an NFA:
   (σ-filtered, items > k dropped) is inserted into a trie whose edge labels
   are output *sets*, held as item bitsets (bit w = item w, as
   :meth:`repro.patex.fst.Fst.step` yields them); one NFA edge corresponds
-  to one output set.
+  to one output set. D-CAND inserts each distinct such sequence once
+  (:func:`repro.desq.simulate.label_paths`).
 * **Minimization** — tries are acyclic, so they are minimized in linear
   time à la Revuz: states are merged bottom-up when they agree on finality
   and on their (label → target) edge sets. Only then are the labels of the
@@ -209,11 +210,12 @@ def deserialize(data: Sequence[int]) -> Nfa:
 
 
 def pivot_nfas(runs: Iterable[Tuple[Sequence[int], int]]) -> Dict[int, Nfa]:
-    """One minimised NFA per pivot from ``(labels, pivots)`` per run:
-    ``labels`` are the run's σ-filtered non-ε output sets and ``pivots`` its
-    pivot items K(r), all as item bitsets. Pivot k's trie gets the run with
-    each label cut to its items ≤ k; k ∈ K(r) guarantees that none becomes
-    empty. Pivots come in the order of their first run, ascending within it.
+    """One minimised NFA per pivot from ``(labels, pivots)`` per run or
+    label path: ``labels`` are the run's σ-filtered non-ε output sets and
+    ``pivots`` its pivot items K(r), all as item bitsets. Pivot k's trie
+    gets the run with each label cut to its items ≤ k; k ∈ K(r) guarantees
+    that none becomes empty. Pivots come in the order of their first run,
+    ascending within it.
     """
     tries: Dict[int, Trie] = defaultdict(Trie)  # keyed by 1 << k
     for labels, pivots in runs:

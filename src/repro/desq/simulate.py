@@ -6,21 +6,24 @@ state. The candidate subsequences Gπ(T) are the union over accepting runs of
 the Cartesian products of the runs' output sets (ε contributes nothing).
 
 Enumeration is exponential in the worst case; it is used as the NAÏVE /
-SEMI-NAÏVE map phase, as the brute-force oracle in tests, and (runs only)
-by D-CAND's trie construction. A memoized reachability check prunes dead
-branches so only prefixes of accepting runs are explored. ``max_candidates``
-guards against pathological blow-ups (mirrors the paper's OOM findings).
+SEMI-NAÏVE map phase and as the brute-force oracle in tests. A memoized
+reachability check prunes dead branches so only prefixes of accepting runs
+are explored. D-CAND's tries see only a run's σ-filtered non-ε output sets,
+so :func:`label_paths` enumerates those *label paths* instead, each distinct
+one once. ``max_candidates`` and ``max_paths`` guard against pathological
+blow-ups (mirroring the paper's OOM findings).
 """
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.hierarchy import Dictionary, item_bits
+from repro.hierarchy import EPS_BITS, Dictionary, item_bits
 from repro.patex.fst import Fst, Step
+from repro.desq.grid import merge_bits
 
 
 class CandidateLimitExceeded(RuntimeError):
-    """Raised when run or candidate enumeration exceeds its limit."""
+    """Raised when run, label-path or candidate enumeration exceeds its limit."""
 
 
 def _limit_exceeded(what: str, T: Sequence[int], d: Dictionary) -> CandidateLimitExceeded:
@@ -86,6 +89,111 @@ def accepting_runs(
         for st in fst.step(q, T[i], d):
             if nxt >> st[0] & 1:  # st[0] is the target state
                 stack.append((i + 1, st[0], st))
+
+
+def label_paths(
+    fst: Fst,
+    T: Sequence[int],
+    d: Dictionary,
+    mask: int,
+    *,
+    max_paths: Optional[int] = None,
+) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """Yield ``(labels, pivots)`` once per distinct label path of ``T``: the
+    σ-filtered non-ε output sets of an accepting run, as item bitsets
+    (``bits & mask``; a run with a 0 among them is dead), with the run's
+    pivot items K(r) folded by ⊕ (:func:`repro.desq.grid.merge_bits`).
+
+    Depth-first subset construction on the grid: a node is one distinct
+    label prefix and holds the coordinates ``(i, q)`` its last label steps
+    into; its children group the ε-closure's labelled steps by label, so
+    runs that differ only in their ε steps are walked once. One backward
+    pass tables, per coordinate, whether it accepts over ε steps only, its
+    ε steps into coordinates that reach a live labelled step over ε steps
+    only, and its live labelled steps (live: reaching acceptance over
+    σ-live steps). So the closure never walks a tail that outputs nothing.
+    ``max_paths`` bounds the paths yielded.
+    """
+    n, width = len(T), fst.n_states
+    # Per coordinate c = i * width + q: accepts[c], eps[c] = (target, ...)
+    # and outs[c] = (label, target, label, target, ...). Flat tuples of ints
+    # leave the garbage collector nothing to trace on long sequences.
+    # lv/ea/eo: the live, ε-accepting and ε-outputting states at i + 1.
+    accepts = bytearray((n + 1) * width)
+    eps: List[Tuple[int, ...]] = [()] * ((n + 1) * width)
+    outs: List[Tuple[int, ...]] = [()] * ((n + 1) * width)
+    lv = ea = item_bits(fst.finals)
+    for q in fst.finals:
+        accepts[n * width + q] = 1
+    eo = 0
+    for i in range(n - 1, -1, -1):
+        a = o = 0
+        base = (i + 1) * width
+        for q, steps in enumerate(fst.steps(T[i], d)):
+            e: Tuple[int, ...] = ()
+            out: Tuple[int, ...] = ()
+            for dst, _, bits in steps:
+                if lv >> dst & 1:
+                    b = bits & mask
+                    if b == EPS_BITS:
+                        a |= (ea >> dst & 1) << q
+                        if eo >> dst & 1:
+                            e += (base + dst,)
+                    elif b:
+                        out += (b, base + dst)
+            c = base - width + q
+            accepts[c] = a >> q & 1
+            if e or out:
+                o |= 1 << q
+                eps[c], outs[c] = e, out
+        lv, ea, eo = a | o, a, o  # live = accepts or outputs over ε steps
+        if not lv:
+            return  # nothing before position i can accept either
+    if not lv >> fst.initial & 1:
+        return
+    count = 0
+    # Explicit stack of (depth, label into the node, ⊕ fold of the labels,
+    # the node's coordinates). ``path`` holds the node's labels: one shared
+    # list, so a path costs O(|T|), not O(|T|²).
+    path: List[int] = []
+    stack: List[Tuple[int, int, int, Sequence[int]]] = [(0, 0, EPS_BITS, (fst.initial,))]
+    while stack:
+        depth, lab, fold, seeds = stack.pop()
+        if depth:
+            del path[depth - 1:]
+            path.append(lab)
+        c = seeds[0]
+        if len(seeds) == 1 and not eps[c]:
+            accept, steps = accepts[c], outs[c]
+        else:  # walk the seeds' ε-closure, collecting its labelled steps
+            seen = set(seeds)
+            todo = list(seen)
+            accept, steps = 0, []
+            while todo:
+                c = todo.pop()
+                accept |= accepts[c]
+                for t in eps[c]:
+                    if t not in seen:
+                        seen.add(t)
+                        todo.append(t)
+                steps += outs[c]
+        if accept:
+            count += 1
+            if max_paths is not None and count > max_paths:
+                raise _limit_exceeded(f"{max_paths} distinct label paths", T, d)
+            yield tuple(path), fold & -2  # drop ε
+        if not steps:
+            continue
+        if len(steps) == 2:
+            kids: Iterable[Tuple[int, Sequence[int]]] = ((steps[0], steps[1:]),)
+        else:  # group the targets by label
+            grouped: Dict[int, List[int]] = {}
+            for b, t in zip(steps[::2], steps[1::2]):
+                grouped.setdefault(b, []).append(t)
+            kids = grouped.items()
+        depth += 1
+        for b, coords in kids:
+            stack.append((depth, b, merge_bits(fold, b), coords))
 
 
 def run_output_sets(

@@ -9,7 +9,13 @@ import pytest
 from repro.hierarchy import Dictionary
 from repro.patex import compile_patex
 from repro.patex.compiler import CompileError
-from repro.desq.simulate import CandidateLimitExceeded, accepting_runs, generate, matches
+from repro.desq.simulate import (
+    CandidateLimitExceeded,
+    accepting_runs,
+    generate,
+    label_paths,
+    matches,
+)
 
 DEX = [
     ["a1", "c", "d", "c", "b"],
@@ -191,6 +197,9 @@ class TestGuards:
             generate(fst, T, d, max_candidates=5)
         with pytest.raises(CandidateLimitExceeded, match="more than 5 accepting runs for " + named):
             list(accepting_runs(fst, T, d, max_runs=5))
+        with pytest.raises(CandidateLimitExceeded,
+                           match="more than 5 distinct label paths for " + named):
+            list(label_paths(fst, T, d, -1, max_paths=5))
 
     def test_run_enumeration_is_linear(self, d):
         """Table II's sequences run to 21k–44k items: the one run of a
@@ -208,6 +217,26 @@ class TestGuards:
                 [run] = accepting_runs(fst, T, d)
                 best = min(best, time.process_time() - t0)
             assert len(run) == n
+            return best
+
+        assert seconds(40_000) / seconds(10_000) < 8
+
+    def test_label_path_enumeration_is_linear(self, d):
+        """The same pin for D-CAND's label paths: the one path of a
+        4×-longer ``(b)+`` input costs about 4× (copying the labels at every
+        search node would cost about 16×)."""
+        import time
+
+        fst = compile_patex("(b)+", d)
+
+        def seconds(n):
+            T = d.encode(["b"] * n)
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.process_time()
+                [(labels, pivots)] = label_paths(fst, T, d, -1)
+                best = min(best, time.process_time() - t0)
+            assert len(labels) == n and pivots == 1 << T[0]
             return best
 
         assert seconds(40_000) / seconds(10_000) < 8

@@ -272,14 +272,15 @@ class TestEdgeInputs:
     def test_map_error_names_partition_and_record(self, spark):
         """A map-side limit error names the input partition and the offset
         of the failing record in it: here the 4th record, the 2nd of
-        partition 1, has two accepting runs against ``max_runs=1``."""
-        db = [["a", "b"]] * 3 + [["a", "a"]]
+        partition 1, has two distinct label paths against ``max_runs=1``.
+        Each ``[a a]`` before it has two accepting runs but one label path."""
+        db = [["a", "a"]] * 3 + [["a", "b"]]
         d = Dictionary.build(db, {})
         rdd = spark.sparkContext.parallelize([d.encode(s) for s in db], 2)
-        out = ALGORITHMS["dcand"](rdd, compile_patex(".* (a) .*", d), d, 1, max_runs=1)
-        with pytest.raises(Py4JJavaError, match=r"CandidateLimitExceeded: more than 1 accepting"
-                                                r" runs for the sequence of 2 items \[a a\]"
-                                                r" \(input partition 1, record 1\)"):
+        out = ALGORITHMS["dcand"](rdd, compile_patex(".* (.) .*", d), d, 1, max_runs=1)
+        with pytest.raises(Py4JJavaError, match=r"CandidateLimitExceeded: more than 1 distinct"
+                                                r" label paths for the sequence of 2 items"
+                                                r" \[a b\] \(input partition 1, record 1\)"):
             out.collect()
 
     def test_mine_sequential_names_unknown_item(self, dex_dict):

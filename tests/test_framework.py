@@ -1,5 +1,7 @@
 """Tests for the shared distributed-framework plumbing."""
 import pandas as pd
+import pytest
+from py4j.protocol import Py4JJavaError
 
 from repro.core.framework import (
     encode_rdd,
@@ -7,6 +9,7 @@ from repro.core.framework import (
     one_round,
     results_to_df,
 )
+from repro.desq.simulate import CandidateLimitExceeded
 from repro.hierarchy import Dictionary
 
 
@@ -81,3 +84,22 @@ class TestSparkPlumbing:
         for _ in range(2):  # the second job runs on the reused workers
             counts = one_round(seqs, None, None, map_fn, reduce_fn).collect()
             assert counts == [(0, 0)]
+
+    def test_reduce_error_names_pivot_and_records(self, spark):
+        """A reduce-side limit error names the key it was mining (the
+        pivot) and how many records the shuffle brought for it: here three
+        records, two of them identical and combined into one weight."""
+
+        def map_fn(fst, d, T):
+            yield T % 2, T // 2  # keys 0 and 1; key 1 gets reps 0, 0 and 1
+
+        def reduce_fn(fst, d, key, weights):
+            if key == 1:
+                raise CandidateLimitExceeded("more than 1 candidates")
+            yield key, sum(weights.values())
+
+        seqs = spark.sparkContext.parallelize([0, 1, 1, 3], 2)
+        out = one_round(seqs, None, None, map_fn, reduce_fn)
+        with pytest.raises(Py4JJavaError, match=r"CandidateLimitExceeded: more than 1 candidates"
+                                                r" \(pivot 1, 3 records\)"):
+            out.collect()

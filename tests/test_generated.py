@@ -6,20 +6,23 @@ example's items (captures, ``.``, ``^``, ``=``, ``|``, ``?``, ``*``, ``+``,
 which an item has 0–2 parents). On every draw, DESQ-DFS must equal
 brute-force counting over the generated candidates, and the union of the
 per-pivot D-SEQ (early stopping on and off) and D-CAND results must equal
-DESQ-DFS, and D-CAND's map must ship the payloads of its tuple reference. Expressions and sequences are kept short, so that brute-force
-candidate enumeration stays cheap.
+DESQ-DFS, D-CAND's map must ship the payloads of its tuple reference, and
+its label paths must be the distinct label sequences of the accepting runs.
+Expressions and sequences are kept short, so that brute-force candidate
+enumeration stays cheap.
 """
 from hypothesis import given, settings, strategies as st
 
-from repro.hierarchy import Dictionary
+from repro.hierarchy import EPS_BITS, Dictionary, bit_items, item_bits
 from repro.patex import compile_patex
 from repro.core.dcand import map_sequence
 from repro.desq.dfs import mine
 from repro.desq.nfa import deserialize, mine_nfas, serialize
 from repro.desq.rewrite import pivot_representations
+from repro.desq.simulate import accepting_runs, label_paths
 from tests.conftest import PAPER_ORDER
 from tests.test_dfs import brute_force_mine, wrap
-from tests.test_nfa import reference_nfas
+from tests.test_nfa import pivots_of_run, reference_nfas
 
 NAMED = st.tuples(st.sampled_from(PAPER_ORDER), st.sampled_from(["", "^"]),
                   st.sampled_from(["", "="])).map("".join)
@@ -88,10 +91,30 @@ def test_miners_agree(expr, db, hierarchy, sigma):
 @given(expr=PATTERNS, db=DATABASES, hierarchy=hierarchies(), sigma=st.integers(1, 3))
 @settings(max_examples=300, deadline=None)
 def test_bitset_map_matches_tuple_reference(expr, db, hierarchy, sigma):
-    """D-CAND's map on output bitsets ships, per sequence, exactly the
-    payloads of the tuple reference, pivots in the same order."""
+    """D-CAND's map on label paths ships, per sequence, exactly the payloads
+    of the tuple reference over accepting runs, pivots in ascending order."""
     d = Dictionary.build(db, hierarchy)
     fst = compile_patex(expr, d)
     for T in map(d.encode, db):
-        want = [(k, serialize(nfa)) for k, nfa in reference_nfas(fst, T, d, sigma).items()]
+        want = sorted((k, serialize(nfa)) for k, nfa in reference_nfas(fst, T, d, sigma).items())
         assert map_sequence(fst, d, T, sigma) == want
+
+
+@given(expr=PATTERNS, db=DATABASES, hierarchy=hierarchies(), sigma=st.integers(1, 3))
+@settings(max_examples=400, deadline=None)
+def test_label_paths_are_the_distinct_run_labels(expr, db, hierarchy, sigma):
+    """``label_paths`` yields each distinct label sequence of the σ-live
+    accepting runs exactly once, with the run's K(r) by the frozenset ⊕,
+    and nothing else."""
+    d = Dictionary.build(db, hierarchy)
+    fst = compile_patex(expr, d)
+    mask = d.frequent_mask(sigma)
+    for T in map(d.encode, db):
+        want = {}
+        for run in accepting_runs(fst, T, d):
+            labels = tuple(bits & mask for _, _, bits in run if bits & mask != EPS_BITS)
+            if all(labels):  # a 0 is an all-infrequent output set: the run is dead
+                want[labels] = item_bits(pivots_of_run([bit_items(lab) for lab in labels]))
+        got = list(label_paths(fst, T, d, mask))
+        assert len(got) == len(want)
+        assert dict(got) == want
