@@ -3,10 +3,10 @@
 Map (per input sequence T, :func:`map_sequence`):
   * enumerate the distinct label paths of T's accepting runs
     (:func:`repro.desq.simulate.label_paths`): depth-first subset
-    construction over ε-closed grid coordinates, on the output bitsets of
-    :meth:`Fst.step` σ-filtered with the frequent-item mask (0 left = dead
-    run, 1 = ε), each path with its pivot items K(r) folded by ⊕
-    (Theorem 1); runs that differ only in their ε steps are one path,
+    construction over ε-closed grid coordinates, on T's memoised σ-live
+    step rows (:func:`repro.desq.simulate.live_rows`), each path with its
+    pivot items K(r) folded by ⊕ (Theorem 1); runs that differ only in
+    their ε steps are one path,
   * insert each path into a per-pivot trie with items > k cut off,
   * minimize each trie (Revuz), decode the minimal NFA's labels to item
     tuples and serialize it with the DFS scheme,

@@ -3,8 +3,8 @@
 All four algorithms (NAÏVE, SEMI-NAÏVE, D-SEQ, D-CAND) are one
 map → shuffle → reduce round, :func:`one_round`, and differ only in the map
 and reduce functions they pass to it. Around the skeleton: encoding
-sequence DataFrames into RDDs of fid tuples, decoding results into lazy
-DataFrames, and counting shuffles in an RDD lineage.
+sequence DataFrames into RDDs of fid tuples and decoding results into
+lazy DataFrames.
 
 Every Python task the library launches (the skeleton's map and reduce, the
 f-list's count) starts with :func:`prune_zip_importers`. PySpark calls
@@ -57,13 +57,6 @@ def results_to_df(
         results = spark.sparkContext.parallelize(results)
     rows = results.map(lambda r: (d.decode_str(r[0]), int(r[1])))
     return spark.createDataFrame(rows, "pattern string not null, support bigint not null")
-
-
-def count_shuffles(rdd: RDD) -> int:
-    """Number of shuffle boundaries in an RDD lineage (for the one-round
-    BSP property tests)."""
-    debug = rdd.toDebugString().decode()
-    return debug.count("ShuffledRDD")
 
 
 def merge_weight_dicts(a: Dict, b: Dict) -> Dict:

@@ -36,7 +36,7 @@ that forward pass on its own, the Fig. 5 reference.
 """
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.hierarchy import EPS_BITS, EPSILON, Dictionary
 from repro.patex.fst import Fst, Step
@@ -112,11 +112,3 @@ def suffix_pivots(
             break  # no σ-live run from position i or before accepts
     return B
 
-
-def pivot_items_bruteforce(
-    fst: Fst, T: Sequence[int], d: Dictionary, sigma: int
-) -> Set[int]:
-    """Reference implementation: enumerate Gσπ(T) and take maxima."""
-    from repro.desq.simulate import generate
-
-    return {max(c) for c in generate(fst, T, d, sigma=sigma)}

@@ -6,7 +6,7 @@ the candidate subsequences as a finite language accepted by an NFA:
 * **Construction** — each accepting run's sequence of non-ε output sets
   (σ-filtered, items > k dropped) is inserted into a trie whose edge labels
   are output *sets*, held as item bitsets (bit w = item w, as
-  :meth:`repro.patex.fst.Fst.step` yields them); one NFA edge corresponds
+  :meth:`repro.patex.fst.Fst.steps` yields them); one NFA edge corresponds
   to one output set. D-CAND inserts each distinct such sequence once
   (:func:`repro.desq.simulate.label_paths`).
 * **Minimization** — tries are acyclic, so they are minimized in linear

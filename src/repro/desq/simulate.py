@@ -5,17 +5,23 @@ initial state with ti ∈ in(δi); it is *accepting* if it ends in a final
 state. The candidate subsequences Gπ(T) are the union over accepting runs of
 the Cartesian products of the runs' output sets (ε contributes nothing).
 
-Enumeration is exponential in the worst case; it is used as the NAÏVE /
-SEMI-NAÏVE map phase and as the brute-force oracle in tests. A memoized
-reachability check prunes dead branches so only prefixes of accepting runs
-are explored. D-CAND's tries see only a run's σ-filtered non-ε output sets,
-so :func:`label_paths` enumerates those *label paths* instead, each distinct
-one once. ``max_candidates`` and ``max_paths`` guard against pathological
-blow-ups (mirroring the paper's OOM findings).
+Every simulation steps the FST through :func:`live_rows`, which prunes by
+reachability of acceptance. Its rows are memoised per FST, Dictionary and σ
+mask under the key (item, next position's ε-accepting and ε-outputting
+states), not pickled, so built per worker per broadcast: at seed 41, 461 /
+1 137 / 2 030 rows for DESQ-DFS and 632 / 1 162 / 2 517 for D-SEQ's reduce
+(nyt-n5 / amznf-t3 / cw-t2).
+
+Run enumeration is exponential in the worst case; it is used as the NAÏVE /
+SEMI-NAÏVE map phase and as the brute-force oracle in tests. D-CAND's tries
+see only a run's σ-filtered non-ε output sets, so :func:`label_paths`
+enumerates those *label paths* instead, each distinct one once.
+``max_candidates``, ``max_runs`` and ``max_paths`` guard against
+pathological blow-ups (mirroring the paper's OOM findings).
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.hierarchy import EPS_BITS, Dictionary, item_bits
 from repro.patex.fst import Fst, Step
@@ -32,27 +38,68 @@ def _limit_exceeded(what: str, T: Sequence[int], d: Dictionary) -> CandidateLimi
     return CandidateLimitExceeded(f"more than {what} for the sequence of {len(T)} items [{head}]")
 
 
-def acceptance_table(fst: Fst, T: Sequence[int], d: Dictionary) -> List[int]:
-    """``alive[i]`` — bitset of the states ``q`` from which the simulation,
-    having read ``i`` items, can still reach acceptance at position ``|T|``.
+Row = Tuple[int, int, Tuple[int, ...], Tuple[Tuple[Tuple[int, int], ...], ...]]
 
-    Computed backwards (positions n..0) so run enumeration can prune
-    non-accepting branches; iterative, so long sequences are safe.
+
+def live_rows(fst: Fst, T: Sequence[int], d: Dictionary, mask: int) -> Optional[List[Row]]:
+    """The σ-live step rows of ``T`` for positions ``0..|T|`` under the
+    frequent-item mask ``mask``; None when ``(0, initial)`` cannot accept.
+
+    Row i is ``(ea, eo, eps, outs)``, per state q: bit q of ``ea`` iff q
+    accepts over ε steps only; ``eps[q]``, the bitset of q's ε targets that
+    reach a σ-live labelled step over ε steps only; ``outs[q]``, q's σ-live
+    labelled steps as ``(bits & mask, target)``; bit q of ``eo`` iff either
+    is non-empty. A step is σ-live if its masked label is not 0 and its
+    target is in row i + 1's ``ea | eo``, so rows are shared tuples
+    memoised under the key ``(T[i], ea, eo)`` of row i + 1.
     """
-    n = len(T)
-    alive = [0] * (n + 1)
-    nxt = alive[n] = item_bits(fst.finals)
-    for i in range(n - 1, -1, -1):
-        cur = 0
-        for q, steps in enumerate(fst.steps(T[i], d)):
-            for dst, _, _ in steps:
-                if nxt >> dst & 1:
-                    cur |= 1 << q
-                    break
-        if not cur:
-            break  # nothing before position i can accept either
-        alive[i] = nxt = cur
-    return alive
+    table = fst.memo("_rows", d)
+    memo = table.get(mask)
+    if memo is None:
+        width = fst.n_states
+        # Row |T|, the final states', under the key None.
+        memo = table[mask] = {None: (item_bits(fst.finals), 0, (0,) * width, ((),) * width)}
+    row = memo[None]
+    rows = [row]
+    ea, eo = row[0], row[1]
+    for i in range(len(T) - 1, -1, -1):
+        key = (T[i], ea, eo)
+        row = memo.get(key)
+        if row is None:
+            row = memo[key] = _live_row(fst.steps(T[i], d), mask, ea, eo)
+        ea, eo = row[0], row[1]
+        if not ea | eo:
+            return None  # nothing before position i can accept either
+        rows.append(row)
+    if not (ea | eo) >> fst.initial & 1:
+        return None
+    rows.reverse()
+    return rows
+
+
+def _live_row(steps: Tuple[Tuple[Step, ...], ...], mask: int, ea: int, eo: int) -> Row:
+    """One :func:`live_rows` row from a :meth:`Fst.steps` row and the
+    ε-accepting and ε-outputting states ``ea`` and ``eo`` one position on."""
+    live = ea | eo
+    a = o = 0
+    eps: List[int] = []
+    outs: List[Tuple[Tuple[int, int], ...]] = []
+    for q, by_q in enumerate(steps):
+        e = 0
+        out: Tuple[Tuple[int, int], ...] = ()
+        for dst, _, bits in by_q:
+            if live >> dst & 1:
+                b = bits & mask
+                if b == EPS_BITS:
+                    a |= (ea >> dst & 1) << q
+                    e |= eo & 1 << dst
+                elif b:
+                    out += ((b, dst),)
+        if e or out:
+            o |= 1 << q
+        eps.append(e)
+        outs.append(out)
+    return a, o, tuple(eps), tuple(outs)
 
 
 def accepting_runs(
@@ -62,11 +109,11 @@ def accepting_runs(
     *,
     max_runs: Optional[int] = None,
 ) -> Iterator[Tuple[Step, ...]]:
-    """Yield every accepting run for ``T`` (pruned depth-first search), as
-    the run's :meth:`Fst.step` entries."""
+    """Yield every accepting run for ``T`` (depth-first search pruned by
+    unmasked :func:`live_rows`), as the run's :meth:`Fst.steps` entries."""
     n = len(T)
-    alive = acceptance_table(fst, T, d)
-    if not alive[0] >> fst.initial & 1:
+    rows = live_rows(fst, T, d, -1)
+    if rows is None:
         return
     count = 0
     # Explicit stack of (position, state, step into it) to avoid recursion
@@ -85,10 +132,40 @@ def accepting_runs(
                 raise _limit_exceeded(f"{max_runs} accepting runs", T, d)
             yield tuple(path)
             continue
-        nxt = alive[i + 1]
-        for st in fst.step(q, T[i], d):
+        nxt = rows[i + 1][0] | rows[i + 1][1]
+        for st in fst.steps(T[i], d)[q]:
             if nxt >> st[0] & 1:  # st[0] is the target state
                 stack.append((i + 1, st[0], st))
+
+
+def _closure(rows: Sequence[Row], width: int, seeds: Sequence[int]) -> Tuple[int, Dict[int, List[int]]]:
+    """:func:`label_paths`' ε-closure of coordinates ``i * width + q``, in
+    ascending position order: ``(accepts, {label: target coordinates})``."""
+    accepts = cur = k = 0
+    n_seeds = len(seeds)
+    kids: Dict[int, List[int]] = {}
+    i = seeds[0] // width
+    while True:
+        while k < n_seeds and seeds[k] // width == i:
+            cur |= 1 << (seeds[k] % width)
+            k += 1
+        if not cur:
+            if k == n_seeds:
+                return accepts, kids
+            i = seeds[k] // width
+            continue
+        ea, _, eps, outs = rows[i]
+        accepts |= ea & cur
+        i += 1
+        base, nxt = i * width, 0
+        while cur:
+            low = cur & -cur
+            cur ^= low
+            q = low.bit_length() - 1
+            nxt |= eps[q]
+            for b, dst in outs[q]:
+                kids.setdefault(b, []).append(base + dst)
+        cur = nxt
 
 
 def label_paths(
@@ -104,53 +181,16 @@ def label_paths(
     (``bits & mask``; a run with a 0 among them is dead), with the run's
     pivot items K(r) folded by ⊕ (:func:`repro.desq.grid.merge_bits`).
 
-    Depth-first subset construction on the grid: a node is one distinct
-    label prefix and holds the coordinates ``(i, q)`` its last label steps
+    Depth-first subset construction on :func:`live_rows`: a node is one
+    distinct label prefix and holds the coordinates its last label steps
     into; its children group the ε-closure's labelled steps by label, so
-    runs that differ only in their ε steps are walked once. One backward
-    pass tables, per coordinate, whether it accepts over ε steps only, its
-    ε steps into coordinates that reach a live labelled step over ε steps
-    only, and its live labelled steps (live: reaching acceptance over
-    σ-live steps). So the closure never walks a tail that outputs nothing.
-    ``max_paths`` bounds the paths yielded.
+    runs that differ only in their ε steps are walked once. ``max_paths``
+    bounds the paths yielded.
     """
-    n, width = len(T), fst.n_states
-    # Per coordinate c = i * width + q: accepts[c], eps[c] = (target, ...)
-    # and outs[c] = (label, target, label, target, ...). Flat tuples of ints
-    # leave the garbage collector nothing to trace on long sequences.
-    # lv/ea/eo: the live, ε-accepting and ε-outputting states at i + 1.
-    accepts = bytearray((n + 1) * width)
-    eps: List[Tuple[int, ...]] = [()] * ((n + 1) * width)
-    outs: List[Tuple[int, ...]] = [()] * ((n + 1) * width)
-    lv = ea = item_bits(fst.finals)
-    for q in fst.finals:
-        accepts[n * width + q] = 1
-    eo = 0
-    for i in range(n - 1, -1, -1):
-        a = o = 0
-        base = (i + 1) * width
-        for q, steps in enumerate(fst.steps(T[i], d)):
-            e: Tuple[int, ...] = ()
-            out: Tuple[int, ...] = ()
-            for dst, _, bits in steps:
-                if lv >> dst & 1:
-                    b = bits & mask
-                    if b == EPS_BITS:
-                        a |= (ea >> dst & 1) << q
-                        if eo >> dst & 1:
-                            e += (base + dst,)
-                    elif b:
-                        out += (b, base + dst)
-            c = base - width + q
-            accepts[c] = a >> q & 1
-            if e or out:
-                o |= 1 << q
-                eps[c], outs[c] = e, out
-        lv, ea, eo = a | o, a, o  # live = accepts or outputs over ε steps
-        if not lv:
-            return  # nothing before position i can accept either
-    if not lv >> fst.initial & 1:
+    rows = live_rows(fst, T, d, mask)
+    if rows is None:
         return
+    width = fst.n_states
     count = 0
     # Explicit stack of (depth, label into the node, ⊕ fold of the labels,
     # the node's coordinates). ``path`` holds the node's labels: one shared
@@ -162,37 +202,14 @@ def label_paths(
         if depth:
             del path[depth - 1:]
             path.append(lab)
-        c = seeds[0]
-        if len(seeds) == 1 and not eps[c]:
-            accept, steps = accepts[c], outs[c]
-        else:  # walk the seeds' ε-closure, collecting its labelled steps
-            seen = set(seeds)
-            todo = list(seen)
-            accept, steps = 0, []
-            while todo:
-                c = todo.pop()
-                accept |= accepts[c]
-                for t in eps[c]:
-                    if t not in seen:
-                        seen.add(t)
-                        todo.append(t)
-                steps += outs[c]
+        accept, kids = _closure(rows, width, seeds)
         if accept:
             count += 1
             if max_paths is not None and count > max_paths:
                 raise _limit_exceeded(f"{max_paths} distinct label paths", T, d)
             yield tuple(path), fold & -2  # drop ε
-        if not steps:
-            continue
-        if len(steps) == 2:
-            kids: Iterable[Tuple[int, Sequence[int]]] = ((steps[0], steps[1:]),)
-        else:  # group the targets by label
-            grouped: Dict[int, List[int]] = {}
-            for b, t in zip(steps[::2], steps[1::2]):
-                grouped.setdefault(b, []).append(t)
-            kids = grouped.items()
         depth += 1
-        for b, coords in kids:
+        for b, coords in kids.items():
             stack.append((depth, b, merge_bits(fold, b), coords))
 
 
@@ -245,4 +262,4 @@ def generate(
 
 def matches(fst: Fst, T: Sequence[int], d: Dictionary) -> bool:
     """True iff T has at least one accepting run."""
-    return bool(acceptance_table(fst, T, d)[0] >> fst.initial & 1)
+    return live_rows(fst, T, d, -1) is not None

@@ -29,7 +29,7 @@ O_ANC = "anc"  # ("anc",)            outputs anc(t)
 O_ANC_UPTO = "anc_upto"  # ("anc_upto", w)  outputs anc(t) ∩ desc(w)
 O_CONST = "const"  # ("const", w)    outputs {w}
 
-# One matching transition for an input item: (dst, out, bits); see Fst.step.
+# One matching transition for an input item: (dst, out, bits); see Fst.steps.
 Step = Tuple[int, Tuple[int, ...], int]
 
 
@@ -74,29 +74,31 @@ class Fst:
     finals: frozenset
     transitions: Tuple[Transition, ...]
 
-    def step(self, q: int, t: int, d: Dictionary) -> Tuple[Step, ...]:
-        """Every transition from state ``q`` that matches input item ``t``,
-        as ``(dst, out, bits)``: ``out`` is the output tuple (``()`` = ε)
-        and ``bits`` the output as a bitset with bit 0 standing for ε."""
-        return self.steps(t, d)[q]
-
     def steps(self, t: int, d: Dictionary) -> Tuple[Tuple[Step, ...], ...]:
-        """:meth:`step` for all states at once, indexed by state; the only
-        place that evaluates matchers and outputs. Memoised per item for one
-        Dictionary (another Dictionary starts the memo afresh)."""
-        memo = self.__dict__.get("_steps")
-        if memo is None or memo[0] is not d:
-            memo = (d, {})
-            object.__setattr__(self, "_steps", memo)
-        row = memo[1].get(t)
+        """Per state, every transition from it that matches input item ``t``,
+        as ``(dst, out, bits)``: ``out`` is the output tuple (``()`` = ε)
+        and ``bits`` the output as a bitset with bit 0 standing for ε. The
+        only place that evaluates matchers and outputs; memoised per item in
+        :meth:`memo` ``"_steps"``."""
+        memo = self.memo("_steps", d)
+        row = memo.get(t)
         if row is None:
             by_src: List[List[Step]] = [[] for _ in range(self.n_states)]
             for tr in self.transitions:
                 if tr.matches(t, d):
                     out = tr.out(t, d)
                     by_src[tr.src].append((tr.dst, out, item_bits(out) if out else EPS_BITS))
-            row = memo[1][t] = tuple(map(tuple, by_src))
+            row = memo[t] = tuple(map(tuple, by_src))
         return row
+
+    def memo(self, name: str, d: Dictionary) -> dict:
+        """The memo ``name`` (``_``-prefixed, so not pickled) for Dictionary
+        ``d``; another Dictionary starts it afresh."""
+        memo = self.__dict__.get(name)
+        if memo is None or memo[0] is not d:
+            memo = (d, {})
+            object.__setattr__(self, name, memo)
+        return memo[1]
 
     def __getstate__(self):
         # Ship the definition only; workers rebuild their own memos.

@@ -3,6 +3,7 @@ import pytest
 
 from repro.hierarchy import Dictionary
 from repro.patex import compile_patex
+from repro.desq.simulate import generate
 
 DEX = [
     ["a1", "c", "d", "c", "b"],
@@ -30,3 +31,8 @@ def piex_fst(dex_dict):
 @pytest.fixture(scope="session")
 def dex_encoded(dex_dict):
     return [dex_dict.encode(s) for s in DEX]
+
+
+def pivot_items_bruteforce(fst, T, d, sigma):
+    """Reference pivot items of T: enumerate Gσπ(T) and take maxima."""
+    return {max(c) for c in generate(fst, T, d, sigma=sigma)}

@@ -14,6 +14,7 @@ from repro.desq.simulate import (
     accepting_runs,
     generate,
     label_paths,
+    live_rows,
     matches,
 )
 
@@ -241,6 +242,27 @@ class TestGuards:
 
         assert seconds(40_000) / seconds(10_000) < 8
 
+    def test_live_rows_are_linear(self, d):
+        """The same pin for the σ-live row pass: a 4×-longer ``(b)+`` input
+        costs about 4×, and its rows are a few shared tuples, so a long
+        input leaves no per-position containers for the garbage collector
+        to trace."""
+        import time
+
+        fst = compile_patex("(b)+", d)
+
+        def seconds(n):
+            T = d.encode(["b"] * n)
+            best = float("inf")
+            for _ in range(3):
+                t0 = time.process_time()
+                rows = live_rows(fst, T, d, -1)
+                best = min(best, time.process_time() - t0)
+            assert len(rows) == n + 1 and len({id(row) for row in rows}) <= 3
+            return best
+
+        assert seconds(40_000) / seconds(10_000) < 8
+
     def test_fst_is_picklable(self, d):
         import pickle
 
@@ -249,18 +271,22 @@ class TestGuards:
         assert generate(fst2, d.encode(DEX[4]), d) == generate(
             fst, d.encode(DEX[4]), d
         )
-        # The step memo filled above is not shipped with the FST.
-        assert "_steps" in fst.__dict__
-        assert "_steps" not in pickle.loads(pickle.dumps(fst)).__dict__
+        # The step and row memos filled above are not shipped with the FST.
+        list(label_paths(fst, d.encode(DEX[4]), d, -1))
+        assert "_steps" in fst.__dict__ and "_rows" in fst.__dict__
+        shipped = pickle.loads(pickle.dumps(fst)).__dict__
+        assert "_steps" not in shipped and "_rows" not in shipped
 
     def test_step_memo_is_per_dictionary(self, d):
-        """The memo belongs to one Dictionary: the same fids under another
-        hierarchy must not reuse its rows."""
+        """The step and row memos belong to one Dictionary: the same fids
+        under another hierarchy must not reuse their rows."""
         fst = compile_patex("(A^)", d)
         a1 = d.fid_of["a1"]
-        assert fst.step(0, a1, d) == ((1, (2, 4), 0b10100),)  # anc(a1) = {A, a1}
+        assert fst.steps(a1, d)[0] == ((1, (2, 4), 0b10100),)  # anc(a1) = {A, a1}
+        assert live_rows(fst, (a1,), d, -1)[0][3][0] == ((0b10100, 1),)
         flat = Dictionary.build(DEX, {"a2": ["A"]}, order=PAPER_ORDER)
-        assert fst.step(0, a1, flat) == ()  # a1 is no longer below A
+        assert fst.steps(a1, flat)[0] == ()  # a1 is no longer below A
+        assert live_rows(fst, (a1,), flat, -1) is None
 
     def test_piex_fst_small(self, d):
         """ε-elimination + trimming yields a compact FST (Fig. 4 has 3

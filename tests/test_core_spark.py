@@ -11,13 +11,18 @@ from pyspark.sql import DataFrame
 from repro import datasets, oracle
 from repro.core import ALGORITHMS, mine, mine_sequential
 from repro.core.flist import build_dictionary
-from repro.core.framework import count_shuffles, encode_rdd
+from repro.core.framework import encode_rdd
 from repro.hierarchy import Dictionary, ancestor_closure
 from repro.patex import compile_patex
 from tests.conftest import DEX, HIER, PAPER_ORDER, PIEX
 from tests.test_generated import PATTERNS
 
 EXPECTED = {"a1 a1 b": 2, "a1 A b": 2, "a1 b": 3}
+
+
+def count_shuffles(rdd) -> int:
+    """Number of shuffle boundaries in an RDD lineage."""
+    return rdd.toDebugString().decode().count("ShuffledRDD")
 
 
 @pytest.fixture(scope="module")

@@ -160,6 +160,24 @@ class TestRandomizedAgreement:
         assert combined == brute_force_mine(fst, db, dex_dict, sigma)
 
 
+def test_row_memo_is_keyed_by_sigma(dex_dict, dex_encoded):
+    """One compiled FST mined at σ = 3, 1, 2 in turn, with its pivot
+    partitions in between, gives a freshly compiled FST's results: the
+    σ-live rows memoised at one σ are never reused at another."""
+    fst = compile_patex(PIEX, dex_dict)
+    for sigma in (3, 1, 2):
+        assert mine(wrap(dex_encoded), fst, dex_dict, sigma) == mine(
+            wrap(dex_encoded), compile_patex(PIEX, dex_dict), dex_dict, sigma
+        ), sigma
+        parts = {}
+        for T in dex_encoded:
+            for k, rep in pivot_representations(fst, T, dex_dict, sigma).items():
+                parts.setdefault(k, []).append((rep, 1))
+        for k, inputs in parts.items():
+            assert mine(inputs, fst, dex_dict, sigma, pivot=k) == mine(
+                inputs, compile_patex(PIEX, dex_dict), dex_dict, sigma, pivot=k
+            ), (sigma, k)
+
 
 def test_long_output_pattern():
     """Patterns thousands of items long (Table II: max length 21k-44k) are

@@ -12,12 +12,12 @@ from repro.desq.grid import (
     EPS_SET,
     build_grid,
     merge_bits,
-    pivot_items_bruteforce,
     pivot_merge,
     prefix_pivots,
     suffix_pivots,
 )
 from repro.desq.rewrite import pivot_representations
+from tests.conftest import pivot_items_bruteforce
 from repro.desq.simulate import generate
 from tests.conftest import DEX
 

@@ -11,6 +11,7 @@ from repro.patex import compile_patex
 from repro.desq.grid import merge_bits
 from repro.desq.rewrite import pivot_representations
 from repro.desq.simulate import accepting_runs, generate
+from tests.conftest import pivot_items_bruteforce
 from tests.test_generated import DATABASES, PATTERNS, hierarchies
 
 
@@ -31,8 +32,6 @@ class TestRunningExample:
         assert last_piv == 2
 
     def test_keys_equal_pivot_items(self, piex_fst, dex_dict, dex_encoded):
-        from repro.desq.grid import pivot_items_bruteforce
-
         for T in dex_encoded:
             reps = pivot_representations(piex_fst, T, dex_dict, 2)
             assert set(reps) == pivot_items_bruteforce(piex_fst, T, dex_dict, 2)
