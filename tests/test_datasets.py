@@ -1,9 +1,14 @@
 """Tests for the synthetic dataset substitutes (DESIGN.md §4)."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.datasets import (
     DATASETS,
+    SEED,
+    _sampler,
+    _zipf_weights,
     amzn_f_lite_raw,
     amzn_lite_raw,
     cw_lite_raw,
@@ -26,6 +31,58 @@ class TestDeterminism:
         a, _ = nyt_lite_raw(100, 1)
         b, _ = nyt_lite_raw(100, 2)
         assert a != b
+
+
+class TestGolden:
+    """Every corpus, pinned: sha256 of ``repr(DATASETS[name](n, SEED))`` at
+    the minebench sizes and at Table V's ``test`` size, 120. The hashes were
+    taken while the generators still called ``Generator.choice`` per draw,
+    so a change to how the generators sample (or a numpy upgrade that
+    changes the random stream) shows up here and not as drifted results."""
+
+    GOLDEN = {
+        ("NYT-lite", 1000): "db8971af17483317d2f19f80cd18e0e4d361d1059381d9680ccc9b3c8af92fd3",
+        ("AMZN-lite", 2000): "397d276082978a03f77066a69726386863da86ad8e3fb671886131ddbe2da61e",
+        ("AMZN-F-lite", 2000): "48e16c8492c93bf434901905f8f7b7ac848fb0c6c667a575b913e7870554b682",
+        ("CW-lite", 1200): "a9eafdb52e10d41e57ac77dd87f2ad10ffdbf1bf13221926af0f3ccd8fbe91c1",
+        ("NYT-lite", 120): "82c42a91d37756ea0a0207ac24ce1cd7a2a5a8bb985c04eb2017c634d8d9ae34",
+        ("AMZN-lite", 120): "a046d4bcf1f95137e9ac7f19eea8053f62fe530a19e0b6af9166d1d0aa950c7e",
+        ("AMZN-F-lite", 120): "ae8395e9be15afe4c2597743e0cf373ad732364e23cf834d5346a460f7c5bbc7",
+        ("CW-lite", 120): "333397e9bf34ccf08430d3ff7a1deb2bcd819ed230039f76b4e5385262738451",
+    }
+
+    @pytest.mark.parametrize("name,n", list(GOLDEN))
+    def test_corpus_is_pinned(self, name, n):
+        corpus = DATASETS[name](n, SEED)
+        assert hashlib.sha256(repr(corpus).encode()).hexdigest() == self.GOLDEN[name, n]
+
+
+class TestSampler:
+    """``_sampler`` against ``Generator.choice``, draw for draw: the same
+    indices and the same generator state afterwards."""
+
+    WEIGHTS = {
+        "zipf-4": _zipf_weights(4, 0.6),
+        "zipf-21": _zipf_weights(21, 1.05),
+        "zipf-2000": _zipf_weights(2000, 1.25),
+        "random-11": np.random.default_rng(5).random(11),
+        "random-zeros": np.random.default_rng(6).random(30) * (np.arange(30) % 3),
+    }
+
+    @pytest.mark.parametrize("seed", [0, 17, 41])
+    @pytest.mark.parametrize("wname", list(WEIGHTS))
+    def test_draws_equal_choice(self, wname, seed):
+        w = self.WEIGHTS[wname] / self.WEIGHTS[wname].sum()
+        ref, g = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = _sampler(g, w)
+        for k in (None, None, 1, 7, None, 0, 300, None):
+            want = ref.choice(len(w), size=k, p=w)
+            got = draw(k)
+            if k is None:
+                assert type(got) is int and got == want
+            else:
+                assert got.tolist() == want.tolist()
+        assert g.bit_generator.state == ref.bit_generator.state
 
 
 class TestNytLite:
