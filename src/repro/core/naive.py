@@ -9,9 +9,12 @@ partition key (distributed word-count over candidates).
   infrequent item), which can shrink the shuffle dramatically.
 
 Both produce identical final output (a frequent subsequence never contains
-an infrequent item), which makes them byte-for-byte oracles for D-SEQ and
-D-CAND in the tests. The map emits ``(candidate, ())``, so the skeleton's
-weights are ``{(): count}``.
+an infrequent item). The map is :func:`repro.desq.simulate.generate`, which
+expands T's label paths (:func:`repro.desq.simulate.label_paths`), the
+enumerator D-CAND's map reads too; so the tests check NAÏVE and D-CAND
+against an independent reference, the candidates of T's accepting runs.
+The map emits ``(candidate, ())``, so the skeleton's weights are
+``{(): count}``.
 """
 from __future__ import annotations
 

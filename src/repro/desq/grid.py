@@ -85,7 +85,7 @@ def prefix_pivots(
         prev, cur = A[i], A[i + 1]
         for q, u in enumerate(prev):
             if u:
-                for dst, _, bits in row[q]:
+                for dst, bits in row[q]:
                     cur[dst] |= merge_bits(u, bits & mask)
     return A
 
@@ -103,7 +103,7 @@ def suffix_pivots(
     for i in range(n - 1, -1, -1):
         nxt, cur = B[i + 1], B[i]
         for q, steps in enumerate(rows[i]):
-            for dst, _, bits in steps:
+            for dst, bits in steps:
                 b = nxt[dst]
                 if b:
                     o = bits & mask

@@ -66,7 +66,7 @@ def pivot_representations(
     for i, row in enumerate(rows, 1):
         nb, nxt, rel, prod = B[i], {}, 0, 0
         for q, u in a.items():
-            for dst, _, bits in row[q]:
+            for dst, bits in row[q]:
                 b = nb[dst]
                 if not b:
                     continue

@@ -12,18 +12,22 @@ states), not pickled, so built per worker per broadcast: at seed 41, 461 /
 1 137 / 2 030 rows for DESQ-DFS and 632 / 1 162 / 2 517 for D-SEQ's reduce
 (nyt-n5 / amznf-t3 / cw-t2).
 
-Run enumeration is exponential in the worst case; it is used as the NAÏVE /
-SEMI-NAÏVE map phase and as the brute-force oracle in tests. D-CAND's tries
-see only a run's σ-filtered non-ε output sets, so :func:`label_paths`
-enumerates those *label paths* instead, each distinct one once.
+Candidates depend on a run only through its σ-filtered non-ε output sets,
+so :func:`label_paths` enumerates those *label paths*, each distinct one
+once. It is the one candidate enumerator: :func:`generate` expands its paths
+into Gπ(T) / Gσπ(T) for NAÏVE, SEMI-NAÏVE and Table IV, and D-CAND inserts
+them into its tries. :func:`accepting_runs` enumerates the runs themselves:
+no miner calls it, but the tests and the benchmark's trace use it as the
+run-level reference. Enumeration is exponential in the worst case;
 ``max_candidates``, ``max_runs`` and ``max_paths`` guard against
 pathological blow-ups (mirroring the paper's OOM findings).
 """
 from __future__ import annotations
 
+from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.hierarchy import EPS_BITS, Dictionary, item_bits
+from repro.hierarchy import EPS_BITS, Dictionary, bit_items, item_bits
 from repro.patex.fst import Fst, Step
 from repro.desq.grid import merge_bits
 
@@ -87,7 +91,7 @@ def _live_row(steps: Tuple[Tuple[Step, ...], ...], mask: int, ea: int, eo: int) 
     for q, by_q in enumerate(steps):
         e = 0
         out: Tuple[Tuple[int, int], ...] = ()
-        for dst, _, bits in by_q:
+        for dst, bits in by_q:
             if live >> dst & 1:
                 b = bits & mask
                 if b == EPS_BITS:
@@ -216,19 +220,9 @@ def label_paths(
 def run_output_sets(
     run: Sequence[Step], T: Sequence[int], d: Dictionary
 ) -> List[Tuple[int, ...]]:
-    """Output sets of a run (one per position; ``()`` = ε). The run's steps
-    carry them already; ``T`` and ``d`` stay for the callers' signature."""
-    return [out for _, out, _ in run]
-
-
-def _expand(output_sets: List[Tuple[int, ...]]) -> Iterator[Tuple[int, ...]]:
-    """Cartesian product of the non-ε output sets, concatenated."""
-    seqs: List[Tuple[int, ...]] = [()]
-    for out in output_sets:
-        if not out:
-            continue
-        seqs = [s + (w,) for s in seqs for w in out]
-    return iter(seqs)
+    """Output sets of a run as ascending item tuples, one per position
+    (``()`` = ε); ``T`` and ``d`` stay for the callers' signature."""
+    return [tuple(bit_items(bits & -2)) for _, bits in run]
 
 
 def generate(
@@ -240,23 +234,18 @@ def generate(
     max_candidates: Optional[int] = None,
 ) -> Set[Tuple[int, ...]]:
     """Gπ(T) — or Gσπ(T) when ``sigma`` is given (candidates consisting only
-    of frequent items, Sec. III). The empty candidate is never included.
+    of frequent items, Sec. III): the Cartesian products of T's distinct
+    label paths under the frequent-item mask. The empty candidate is never
+    included.
     """
-    mask = d.frequent_mask(sigma)
     cands: Set[Tuple[int, ...]] = set()
-    for run in accepting_runs(fst, T, d):
-        # A position whose output items are all infrequent (masked to 0:
-        # dead, unlike ε's 1) kills the run; dropping infrequent items from
-        # mixed sets drops exactly the candidates containing them (support
-        # antimonotonicity).
-        if not all(bits & mask for _, _, bits in run):
-            continue
-        outs = [tuple(w for w in out if mask >> w & 1) for _, out, _ in run]
-        for cand in _expand(outs):
-            if cand:
-                cands.add(cand)
-                if max_candidates is not None and len(cands) > max_candidates:
-                    raise _limit_exceeded(f"{max_candidates} candidates", T, d)
+    for labels, _ in label_paths(fst, T, d, d.frequent_mask(sigma)):
+        if not labels:
+            continue  # an all-ε run outputs only the empty candidate
+        for cand in product(*map(bit_items, labels)):
+            cands.add(cand)
+            if max_candidates is not None and len(cands) > max_candidates:
+                raise _limit_exceeded(f"{max_candidates} candidates", T, d)
     return cands
 
 

@@ -29,8 +29,8 @@ O_ANC = "anc"  # ("anc",)            outputs anc(t)
 O_ANC_UPTO = "anc_upto"  # ("anc_upto", w)  outputs anc(t) ∩ desc(w)
 O_CONST = "const"  # ("const", w)    outputs {w}
 
-# One matching transition for an input item: (dst, out, bits); see Fst.steps.
-Step = Tuple[int, Tuple[int, ...], int]
+# One matching transition for an input item: (dst, bits); see Fst.steps.
+Step = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -76,18 +76,16 @@ class Fst:
 
     def steps(self, t: int, d: Dictionary) -> Tuple[Tuple[Step, ...], ...]:
         """Per state, every transition from it that matches input item ``t``,
-        as ``(dst, out, bits)``: ``out`` is the output tuple (``()`` = ε)
-        and ``bits`` the output as a bitset with bit 0 standing for ε. The
-        only place that evaluates matchers and outputs; memoised per item in
-        :meth:`memo` ``"_steps"``."""
+        as ``(dst, bits)``: ``bits`` is the output set as an item bitset,
+        with bit 0 standing for ε. The only place that evaluates matchers
+        and outputs; memoised per item in :meth:`memo` ``"_steps"``."""
         memo = self.memo("_steps", d)
         row = memo.get(t)
         if row is None:
             by_src: List[List[Step]] = [[] for _ in range(self.n_states)]
             for tr in self.transitions:
-                if tr.matches(t, d):
-                    out = tr.out(t, d)
-                    by_src[tr.src].append((tr.dst, out, item_bits(out) if out else EPS_BITS))
+                if tr.matches(t, d):  # an empty output tuple is ε
+                    by_src[tr.src].append((tr.dst, item_bits(tr.out(t, d)) or EPS_BITS))
             row = memo[t] = tuple(map(tuple, by_src))
         return row
 

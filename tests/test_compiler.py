@@ -282,7 +282,7 @@ class TestGuards:
         under another hierarchy must not reuse their rows."""
         fst = compile_patex("(A^)", d)
         a1 = d.fid_of["a1"]
-        assert fst.steps(a1, d)[0] == ((1, (2, 4), 0b10100),)  # anc(a1) = {A, a1}
+        assert fst.steps(a1, d)[0] == ((1, 0b10100),)  # anc(a1) = {A, a1}
         assert live_rows(fst, (a1,), d, -1)[0][3][0] == ((0b10100, 1),)
         flat = Dictionary.build(DEX, {"a2": ["A"]}, order=PAPER_ORDER)
         assert fst.steps(a1, flat)[0] == ()  # a1 is no longer below A

@@ -7,8 +7,7 @@ from repro.hierarchy import Dictionary
 from repro.patex import compile_patex
 from repro.desq.dfs import mine
 from repro.desq.rewrite import pivot_representations
-from repro.desq.simulate import generate
-from tests.conftest import DEX, PIEX
+from tests.conftest import DEX, PIEX, run_candidates
 
 
 def wrap(seqs, weights=None):
@@ -21,7 +20,7 @@ def brute_force_mine(fst, seqs, d, sigma, pivot=None):
     """Reference: enumerate Gσ per sequence, count distinct per sequence."""
     counts = {}
     for T in seqs:
-        for c in generate(fst, T, d, sigma=sigma):
+        for c in run_candidates(fst, T, d, sigma):
             counts[c] = counts.get(c, 0) + 1
     out = {
         c: f

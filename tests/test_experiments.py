@@ -115,7 +115,32 @@ class TestTable3:
         assert "N3" in table3.format_rows(rows)
 
 
+# Table IV at test scale: (constraint, dataset, σ, matched %, #candidates,
+# CSPI mean, CSPI median, capped sequences), floats to 3 decimals.
+TABLE4_TEST_ROWS = [
+    ("N1", "NYT-lite", 2, 56.667, 85, 1, 1, 0),
+    ("N2", "NYT-lite", 2, 56.667, 729, 8.576, 9, 0),
+    ("N3", "NYT-lite", 2, 8.0, 34, 2.833, 3.0, 0),
+    ("N4", "NYT-lite", 15, 84.667, 2419, 19.047, 16, 0),
+    ("N5", "NYT-lite", 15, 100.0, 4592, 30.613, 30.0, 0),
+    ("A1", "AMZN-lite", 4, 35.333, 32478, 612.792, 34, 0),
+    ("A2", "AMZN-lite", 2, 18.0, 1218, 45.111, 4, 0),
+    ("A3", "AMZN-lite", 2, 12.667, 6315, 332.368, 55, 0),
+    ("A4", "AMZN-lite", 4, 19.333, 27766, 957.448, 9, 0),
+    ("T1(100,5)", "AMZN-lite", 10, 41.333, 167, 2.694, 1.0, 0),
+    ("T2(100,1,5)", "NYT-lite", 10, 100.0, 21960, 146.4, 122.5, 0),
+    ("T3(50,1,5)", "AMZN-F-lite", 5, 100.0, 107481, 716.54, 74.0, 0),
+]
+
+
 class TestTable4:
+    def test_rows_pinned(self, spark):
+        got = [
+            tuple(round(v, 3) if isinstance(v, float) else v for v in r.values())
+            for r in table4.run(spark, "test")
+        ]
+        assert got == TABLE4_TEST_ROWS
+
     def test_selective_vs_loose(self, spark):
         rows = table4.run(spark, "test", names=["N1", "N4"])
         by = {r["constraint"]: r for r in rows}

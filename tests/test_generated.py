@@ -6,11 +6,13 @@ example's items (captures, ``.``, ``^``, ``=``, ``|``, ``?``, ``*``, ``+``,
 which an item has 0–2 parents). On every draw, DESQ-DFS must equal
 brute-force counting over the generated candidates, and the union of the
 per-pivot D-SEQ (early stopping on and off) and D-CAND results must equal
-DESQ-DFS, D-CAND's map must ship the payloads of its tuple reference, and
-its label paths must be the distinct label sequences of the accepting runs.
+DESQ-DFS, D-CAND's map must ship the payloads of its tuple reference, its
+label paths must be the distinct label sequences of the accepting runs, and
+the candidates ``generate`` expands from them must be those of the runs.
 Expressions and sequences are kept short, so that brute-force candidate
 enumeration stays cheap.
 """
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hierarchy import EPS_BITS, Dictionary, bit_items, item_bits
@@ -19,8 +21,8 @@ from repro.core.dcand import map_sequence
 from repro.desq.dfs import mine
 from repro.desq.nfa import deserialize, mine_nfas, serialize
 from repro.desq.rewrite import pivot_representations
-from repro.desq.simulate import accepting_runs, label_paths
-from tests.conftest import PAPER_ORDER
+from repro.desq.simulate import CandidateLimitExceeded, accepting_runs, generate, label_paths
+from tests.conftest import PAPER_ORDER, run_candidates
 from tests.test_dfs import brute_force_mine, wrap
 from tests.test_nfa import pivots_of_run, reference_nfas
 
@@ -112,9 +114,31 @@ def test_label_paths_are_the_distinct_run_labels(expr, db, hierarchy, sigma):
     for T in map(d.encode, db):
         want = {}
         for run in accepting_runs(fst, T, d):
-            labels = tuple(bits & mask for _, _, bits in run if bits & mask != EPS_BITS)
+            labels = tuple(bits & mask for _, bits in run if bits & mask != EPS_BITS)
             if all(labels):  # a 0 is an all-infrequent output set: the run is dead
                 want[labels] = item_bits(pivots_of_run([bit_items(lab) for lab in labels]))
         got = list(label_paths(fst, T, d, mask))
         assert len(got) == len(want)
         assert dict(got) == want
+
+
+@given(expr=PATTERNS, db=DATABASES, hierarchy=hierarchies(),
+       sigma=st.one_of(st.none(), st.integers(1, 3)), limit=st.integers(1, 6))
+@settings(max_examples=400, deadline=None)
+def test_generate_equals_run_candidates(expr, db, hierarchy, sigma, limit):
+    """``generate`` (label paths) yields per sequence the candidates of the
+    accepting runs, Gπ(T) for σ None and Gσπ(T) otherwise; at a small
+    ``max_candidates`` both raise on the same sequences."""
+    d = Dictionary.build(db, hierarchy)
+    fst = compile_patex(expr, d)
+    for T in map(d.encode, db):
+        want = run_candidates(fst, T, d, sigma)
+        assert generate(fst, T, d, sigma=sigma) == want, (expr, T)
+        if len(want) > limit:
+            with pytest.raises(CandidateLimitExceeded):
+                generate(fst, T, d, sigma=sigma, max_candidates=limit)
+            with pytest.raises(CandidateLimitExceeded):
+                run_candidates(fst, T, d, sigma, max_candidates=limit)
+        else:
+            assert generate(fst, T, d, sigma=sigma, max_candidates=limit) == want
+            assert run_candidates(fst, T, d, sigma, max_candidates=limit) == want

@@ -14,7 +14,8 @@ from repro.desq.nfa import (
     minimize,
     serialize,
 )
-from repro.desq.simulate import accepting_runs, generate, run_output_sets
+from repro.desq.simulate import accepting_runs, run_output_sets
+from tests.conftest import run_candidates
 
 
 # The tuple reference for D-CAND's bitset map: labels as item tuples, the
@@ -181,7 +182,7 @@ class TestTrieAndMinimize:
         sigma = 2
         for T in dex_encoded:
             nfas = nfas_for(piex_fst, T, dex_dict, sigma)
-            full = generate(piex_fst, T, dex_dict, sigma=sigma)
+            full = run_candidates(piex_fst, T, dex_dict, sigma)
             for k, nfa in nfas.items():
                 got_pivot_share = {s for s in nfa.language() if max(s) == k}
                 want = {c for c in full if max(c) == k}

@@ -10,14 +10,14 @@ from repro.hierarchy import EPS_BITS, Dictionary, bit_items
 from repro.patex import compile_patex
 from repro.desq.grid import merge_bits
 from repro.desq.rewrite import pivot_representations
-from repro.desq.simulate import accepting_runs, generate
-from tests.conftest import pivot_items_bruteforce
+from repro.desq.simulate import accepting_runs
+from tests.conftest import pivot_items_bruteforce, run_candidates
 from tests.test_generated import DATABASES, PATTERNS, hierarchies
 
 
 def pivot_share(fst, T, d, sigma, k):
     """σ-filtered candidates of T with pivot exactly k."""
-    return {c for c in generate(fst, T, d, sigma=sigma) if max(c) == k}
+    return {c for c in run_candidates(fst, T, d, sigma) if max(c) == k}
 
 
 class TestRunningExample:
@@ -66,7 +66,7 @@ class TestTrimmingPreservesPivotCandidates:
         for _ in range(40):
             T = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 8)))
             reps = pivot_representations(fst, T, dex_dict, sigma)
-            full = generate(fst, T, dex_dict, sigma=sigma)
+            full = run_candidates(fst, T, dex_dict, sigma)
             assert set(reps) == {max(c) for c in full}
             for k, (rho, _) in reps.items():
                 assert pivot_share(fst, rho, dex_dict, sigma, k) == {
@@ -108,14 +108,14 @@ def reference_representations(fst, T, d, sigma):
     mask = d.frequent_mask(sigma)
     relevant, producing = {}, {}
     for run in accepting_runs(fst, T, d):
-        outs = [bits & mask for _, _, bits in run]
+        outs = [bits & mask for _, bits in run]
         if not all(outs):
             continue  # σ-dead: some position outputs only infrequent items
         K = EPS_BITS
         for o in outs:
             K = merge_bits(K, o)
         q = fst.initial
-        for i, ((dst, _, _), o) in enumerate(zip(run, outs), 1):
+        for i, ((dst, _), o) in enumerate(zip(run, outs), 1):
             items = bit_items(o & -2)
             for k in bit_items(K & -2):
                 if dst != q or (items and min(items) <= k):
