@@ -5,9 +5,12 @@ Usage: python jobs/table.py {2,3,4,5} [test|bench] [constraint ...]
 Prints the table's rows at the given scale (default: bench). Constraint
 names, e.g. ``N4`` or ``T2(100,0,5)``, restrict Tables III–V to those rows;
 a name that is not one of the table's rows is a usage error.
+At bench scale with no constraint names, it then asserts the table's
+shape (:func:`check_shape`) and exits 1 if that fails.
 """
 import importlib
 import sys
+import traceback
 
 USAGE = "usage: python jobs/table.py {2,3,4,5} [test|bench] [constraint ...]"
 
@@ -23,6 +26,30 @@ def check_names(table, number: str, scale: str, names) -> None:
         table.configs(scale, names)
     else:
         constraint_grid(scale, names)
+
+
+def check_shape(number: str, rows) -> None:
+    """Assert the shape of Table ``number``'s full bench-scale grid."""
+    if number == "2":
+        assert len(rows) == 4
+    elif number == "3":
+        assert len(rows) == 12
+        # A constraint with no frequent sequence means σ or a generator regressed.
+        assert all(r["n_frequent"] > 0 for r in rows)
+    elif number == "4":
+        assert len(rows) == 12
+        by_name = {r["constraint"]: r for r in rows}
+        # Tab. IV's ordering: N1 most selective, A1 skewed by long inputs, T3 loosest.
+        assert by_name["N1"]["cspi_mean"] <= by_name["N2"]["cspi_mean"]
+        assert by_name["N2"]["cspi_mean"] <= by_name["N4"]["cspi_mean"]
+        assert by_name["A1"]["cspi_mean"] > by_name["A1"]["cspi_median"]
+        assert by_name["T3(50,1,5)"]["cspi_mean"] >= by_name["T2(100,1,5)"]["cspi_mean"]
+    else:
+        assert len(rows) == 7
+        # Distributed beats sequential on N5, the heaviest row (the paper's core claim).
+        n5 = next(r for r in rows if r["constraint"] == "N5")
+        assert n5["speedup_dseq"] > 1.0
+        assert n5["speedup_dcand"] > 1.0
 
 
 def main(argv) -> int:
@@ -49,6 +76,13 @@ def main(argv) -> int:
     finally:
         spark.stop()
     print(table.format_rows(rows))
+    if scale == "bench" and names is None:
+        try:
+            check_shape(number, rows)
+        except AssertionError as e:
+            line = traceback.extract_tb(e.__traceback__)[-1].line
+            print(f"table {number} fails its shape check: {line}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -11,7 +11,7 @@ preprocessing step and excludes it from run times.
 """
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from pyspark.sql import DataFrame, SparkSession
 
@@ -23,7 +23,6 @@ def build_dictionary(
     spark: SparkSession,
     df: DataFrame,
     hierarchy: Mapping[str, Sequence[str]],
-    order: Optional[Sequence[str]] = None,
 ) -> Dictionary:
     """Spark-computed f-list of ``df["items"]`` → frequency-ordered
     :class:`Dictionary`."""
@@ -37,4 +36,4 @@ def build_dictionary(
         df.select("items").rdd.mapPartitions(count_partition)
         .fold({}, merge_weight_dicts)
     )
-    return Dictionary.build([], hierarchy, dfreq=freqs, order=order)
+    return Dictionary.build([], hierarchy, dfreq=freqs)

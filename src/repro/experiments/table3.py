@@ -7,7 +7,6 @@ analogue of the paper's "Example frequent sequences (with support)" column.
 """
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional
 
 from pyspark.sql import SparkSession
@@ -19,20 +18,17 @@ from repro.experiments.constraints import Constraint, constraint_grid
 
 def run_constraint(spark: SparkSession, c: Constraint, n: int) -> Dict:
     _, hierarchy, df = datasets.frame(spark, c.dataset, n)
-    t0 = time.perf_counter()
     out = mine(spark, df, hierarchy, c.expr, c.sigma)
     collected = sorted(
         ((r["pattern"], int(r["support"])) for r in out.collect()),
         key=lambda kv: (-kv[1], kv[0]),
     )
-    elapsed = time.perf_counter() - t0
     return {
         "constraint": c.name,
         "dataset": c.dataset,
         "sigma": c.sigma,
         "n_frequent": len(collected),
         "examples": collected[:3],
-        "seconds": elapsed,
     }
 
 

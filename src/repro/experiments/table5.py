@@ -35,7 +35,6 @@ SCALES = {
     "test": {"NYT-lite": 120, "AMZN-F-lite": 120, "CW-lite": 120},
     "bench": {"NYT-lite": 100_000, "AMZN-F-lite": 60_000, "CW-lite": 60_000},
 }
-_BENCH_N = SCALES["bench"]
 
 
 def configs(scale: str, names: Optional[Sequence[str]] = None) -> List[Constraint]:
@@ -43,7 +42,7 @@ def configs(scale: str, names: Optional[Sequence[str]] = None) -> List[Constrain
     in ``names`` when it is given (a name that matches no row raises
     ValueError, see :func:`constraints.select`).
 
-    Bench σ values mirror the paper's low/high-σ pairs at ~0.15-0.8%%
+    Bench σ values mirror the paper's low/high-σ pairs at ~0.15-0.8%
     relative support.
     """
     rows = [
@@ -58,7 +57,7 @@ def configs(scale: str, names: Optional[Sequence[str]] = None) -> List[Constrain
     out = []
     for name, ds, expr, bench_sigma in rows:
         n = SCALES[scale][ds]
-        sigma = max(2, round(bench_sigma * n / _BENCH_N[ds]))
+        sigma = max(2, round(bench_sigma * n / SCALES["bench"][ds]))
         out.append(Constraint(name, ds, expr, sigma))
     return select(out, names)
 
@@ -74,34 +73,25 @@ def run_config(spark: SparkSession, c: Constraint, n: int) -> Dict:
     seq_result = mine_sequential(seqs, hierarchy, c.expr, c.sigma, dictionary=d)
     t_seq = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    dseq_df = mine(spark, df, hierarchy, c.expr, c.sigma, algorithm="dseq",
-                   dictionary=d)
-    dseq_result = {tuple(r["pattern"].split(" ")): r["support"]
-                   for r in dseq_df.collect()}
-    t_dseq = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    dcand_df = mine(spark, df, hierarchy, c.expr, c.sigma, algorithm="dcand",
-                    dictionary=d)
-    dcand_result = {tuple(r["pattern"].split(" ")): r["support"]
-                    for r in dcand_df.collect()}
-    t_dcand = time.perf_counter() - t0
-
-    assert dseq_result == seq_result, f"{c.name}: D-SEQ result diverged"
-    assert dcand_result == seq_result, f"{c.name}: D-CAND result diverged"
-    df.unpersist()
-    return {
+    row = {
         "constraint": c.name,
         "dataset": c.dataset,
         "sigma": c.sigma,
         "n_frequent": len(seq_result),
         "t_seq": t_seq,
-        "t_dseq": t_dseq,
-        "t_dcand": t_dcand,
-        "speedup_dseq": t_seq / t_dseq if t_dseq else float("inf"),
-        "speedup_dcand": t_seq / t_dcand if t_dcand else float("inf"),
     }
+    for algo, label in (("dseq", "D-SEQ"), ("dcand", "D-CAND")):
+        t0 = time.perf_counter()
+        result_df = mine(spark, df, hierarchy, c.expr, c.sigma, algorithm=algo,
+                         dictionary=d)
+        result = {tuple(r["pattern"].split(" ")): r["support"]
+                  for r in result_df.collect()}
+        t = time.perf_counter() - t0
+        assert result == seq_result, f"{c.name}: {label} result diverged"
+        row[f"t_{algo}"] = t
+        row[f"speedup_{algo}"] = t_seq / t if t else float("inf")
+    df.unpersist()
+    return row
 
 
 def run(

@@ -37,9 +37,6 @@ class Item(Node):
     up: bool = False
     eq: bool = False
 
-    def label(self) -> str:
-        return f"{self.name}{'^' if self.up else ''}{'=' if self.eq else ''}"
-
 
 @dataclass(frozen=True)
 class Concat(Node):

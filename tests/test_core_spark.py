@@ -78,10 +78,11 @@ class TestFlist:
             closure=pd.DataFrame(closure_rows, columns=["item", "anc"]),
         )
 
-    def test_build_dictionary_spark(self, spark, dex_df, dex_dict):
-        d = build_dictionary(spark, dex_df, HIER, order=PAPER_ORDER)
-        assert d.names == dex_dict.names
-        assert d.dfreq == dex_dict.dfreq
+    def test_build_dictionary_spark(self, spark, dex_df):
+        d = build_dictionary(spark, dex_df, HIER)
+        driver = Dictionary.build(DEX, HIER)
+        assert d.names == driver.names
+        assert d.dfreq == driver.dfreq
 
     def test_hierarchy_only_items_get_zero(self, spark):
         df = spark.createDataFrame(
